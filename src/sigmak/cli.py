@@ -1,7 +1,7 @@
 """Command-line front end: JSON in, deterministic JSON reports out.
 
-Input equations are ``{"n": int, "c": [c_0 ... c_{n-1} as strings]}`` with
-fraction strings kept exact end to end.  Reports are byte-identical across
+Input equations are ``{"n": int, "c": [c_0 ... c_{n-1} as strings or
+numbers]}`` with fraction strings kept exact end to end.  Reports are byte-identical across
 runs for identical inputs and seeds; wall-clock timings live in a separate
 non-canonical field.  Exit codes: 0 success (whatever the verdict), 2 usage
 or parse errors, 3 internal precondition violations.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -49,27 +50,41 @@ class UsageError(Exception):
     pass
 
 
-def _read_equation(path: str) -> tuple[SigmaKPolynomial, dict]:
+def _read_equation(path: str) -> SigmaKPolynomial:
     try:
         if path == "-":
             raw = json.load(sys.stdin)
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError covers arrays nested too deep for the decoder
         raise UsageError(f"cannot read equation: {exc}") from exc
-    return _equation_from_obj(raw), raw
+    return _equation_from_obj(raw)
 
 
 def _equation_from_obj(raw) -> SigmaKPolynomial:
     if not isinstance(raw, dict) or "n" not in raw or "c" not in raw:
         raise UsageError('input must be an object with keys "n" and "c"')
+    n, c = raw["n"], raw["c"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise UsageError('"n" must be an integer')
+    if not isinstance(c, list) or any(
+        isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in c
+    ):
+        raise UsageError('"c" must be an array of strings or numbers')
     try:
-        n = int(raw["n"])
-        coeffs = tuple(parse_rational(str(v)) for v in raw["c"])
-        return SigmaKPolynomial(n, coeffs)
+        return SigmaKPolynomial(n, tuple(parse_rational(str(v)) for v in c))
     except (ValueError, ZeroDivisionError, SigmaKError) as exc:
         raise UsageError(f"bad equation: {exc}") from exc
+
+
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 def _equation_json(f: SigmaKPolynomial) -> dict:
@@ -96,24 +111,35 @@ def _chain_payload(cert, digits: int) -> list[dict]:
     return rows
 
 
-def _report(input_obj, verdict, chain, extras, timings) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "input": input_obj,
-        "verdict": verdict,
-        "chain": chain,
-        "extras": extras,
-        "timings_ms": timings,
-    }
-
-
 def canonical_body(report: dict) -> dict:
     """The deterministic part of a report (everything except timings)."""
     return {k: v for k, v in report.items() if k != "timings_ms"}
 
 
-def _emit(report: dict) -> None:
+def _run_report(args) -> int:
+    """Run a report command's parse and compute steps and write its report.
+
+    ``parse(args)`` reads and validates every argument and returns the input
+    echo and the parsed state; ``compute(args, state)`` returns the verdict,
+    the chain rows and the extras.  Their wall times are the report's
+    non-canonical ``timings_ms``.
+    """
+    parse, compute = args.steps
+    t0 = time.perf_counter()
+    input_obj, state = parse(args)
+    t1 = time.perf_counter()
+    verdict, chain, extras = compute(args, state)
+    t2 = time.perf_counter()
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "input": input_obj,
+        "verdict": verdict,
+        "chain": chain,
+        "extras": extras,
+        "timings_ms": {"parse": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
+    }
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    return 0
 
 
 def _seed() -> int:
@@ -139,10 +165,16 @@ def _numeric_chain(p: Poly) -> list[float]:
     return chain
 
 
-def _cmd_certify(args) -> int:
-    t0 = time.perf_counter()
-    equation, raw = _read_equation(args.input)
-    t1 = time.perf_counter()
+def _parse_certify(args):
+    equation = _read_equation(args.input)
+    if args.digits < 1:
+        raise UsageError("--digits must be >= 1")
+    if args.convexity_pairs < 0:
+        raise UsageError("--convexity-pairs must be >= 0")
+    return _equation_json(equation), equation
+
+
+def _certify(args, equation):
     extras: dict = {}
     if args.float_mode:
         chain = _numeric_chain(diagonal_restriction(equation))
@@ -179,28 +211,20 @@ def _cmd_certify(args) -> int:
             "failures": mid.failures,
             "mode": mid.mode,
         }
-    t2 = time.perf_counter()
-    _emit(
-        _report(
-            _equation_json(equation),
-            verdict.value,
-            chain_rows,
-            extras,
-            {"parse": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-        )
-    )
-    return 0
+    return verdict.value, chain_rows, extras
 
 
 _ORDER_SYMBOL = {Order.GREATER: ">", Order.EQUAL: "=", Order.LESS: "<"}
 
 
-def _cmd_dominance(args) -> int:
-    t0 = time.perf_counter()
-    g, _ = _read_equation(args.dominator)
-    f, _ = _read_equation(args.dominated)
-    t1 = time.perf_counter()
-    result = dominates(g, f)
+def _parse_dominance(args):
+    g = _read_equation(args.dominator)
+    f = _read_equation(args.dominated)
+    return {"dominator": _equation_json(g), "dominated": _equation_json(f)}, (g, f)
+
+
+def _dominance(args, pair):
+    result = dominates(*pair)
     extras = {
         "dominates": result.dominates,
         "levels": [_ORDER_SYMBOL[c] for c in result.comparisons],
@@ -210,35 +234,21 @@ def _cmd_dominance(args) -> int:
             else "no containment certified"
         ),
     }
-    t2 = time.perf_counter()
-    _emit(
-        _report(
-            {"dominator": _equation_json(g), "dominated": _equation_json(f)},
-            "dominates" if result.dominates else "does-not-dominate",
-            [],
-            extras,
-            {"parse": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-        )
-    )
-    return 0
+    return "dominates" if result.dominates else "does-not-dominate", [], extras
 
 
-def _parse_point(text: str):
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad point: {exc}") from exc
-
-
-def _cmd_membership(args) -> int:
-    t0 = time.perf_counter()
-    equation, _ = _read_equation(args.input)
-    point = _parse_point(args.point)
+def _parse_membership(args):
+    equation = _read_equation(args.input)
+    point = tuple(_rational(part, "point") for part in args.point.split(","))
     if len(point) != equation.n:
         raise UsageError(
             f"point has {len(point)} coordinates, equation has {equation.n}"
         )
-    t1 = time.perf_counter()
+    return _equation_json(equation), (equation, point)
+
+
+def _membership(args, state):
+    equation, point = state
     membership = cone_membership(
         equation, point, exhaustive=args.exhaustive
     )
@@ -254,17 +264,7 @@ def _cmd_membership(args) -> int:
             for level, value in membership.level_values
         ],
     }
-    t2 = time.perf_counter()
-    _emit(
-        _report(
-            _equation_json(equation),
-            "member" if membership.member_level is not None else "outside",
-            [],
-            extras,
-            {"parse": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-        )
-    )
-    return 0
+    return "member" if membership.member_level is not None else "outside", [], extras
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -275,6 +275,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise UsageError(f"bad range: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("range ends must be finite")
     if not hi > lo:
         raise UsageError("range must satisfy lo < hi")
     return lo, hi
@@ -287,13 +289,16 @@ def _write_csv(path: str, header: str, rows) -> None:
             handle.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def _cmd_alpha(args) -> int:
-    t0 = time.perf_counter()
-    equation, _ = _read_equation(args.input)
+def _parse_alpha(args):
+    equation = _read_equation(args.input)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
     lo, hi = _parse_range(args.range)
-    t1 = time.perf_counter()
+    return _equation_json(equation), (equation, lo, hi)
+
+
+def _alpha(args, state):
+    equation, lo, hi = state
     report = certify_stable(equation)
     if not report.is_stable:
         raise SigmaKError("ratio profile needs a stable (chain-certified) equation")
@@ -312,17 +317,7 @@ def _cmd_alpha(args) -> int:
         extras["csv"] = args.csv
     else:
         extras["rows"] = [[f"{x:.12g}", f"{v:.12g}"] for x, v in rows]
-    t2 = time.perf_counter()
-    _emit(
-        _report(
-            _equation_json(equation),
-            report.verdict.value,
-            [],
-            extras,
-            {"parse": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-        )
-    )
-    return 0
+    return report.verdict.value, [], extras
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -340,36 +335,33 @@ def _parse_grid(text: str) -> list[Fraction]:
             return [lo]
         step = (hi - lo) / (count - 1)
         return [lo + step * i for i in range(count)]
-    try:
-        return [parse_rational(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad grid: {exc}") from exc
+    return [_rational(part, "grid") for part in text.split(",")]
 
 
-def _cmd_deform(args) -> int:
-    t0 = time.perf_counter()
+def _parse_deform(args):
     if args.poly:
-        try:
-            coeffs = [parse_rational(part) for part in args.poly.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad polynomial: {exc}") from exc
+        coeffs = [_rational(part, "polynomial") for part in args.poly.split(",")]
         target = Poly(coeffs)
         input_obj = {"poly": [format_rational(c) for c in coeffs]}
     else:
         if not args.input:
             raise UsageError("deform needs an input file or --poly")
-        equation, _ = _read_equation(args.input)
+        equation = _read_equation(args.input)
         target = diagonal_restriction(equation)
         input_obj = _equation_json(equation)
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    t1 = time.perf_counter()
+    grid = _parse_grid(args.y_grid) if args.y_grid else None
+    x_max = _rational(args.x_max, "--x-max") if args.x_max else None
+    return input_obj, (target, grid, x_max)
+
+
+def _deform(args, state):
+    target, grid, x_max = state
     cert = certify_right(target)
     if not cert.succeeded:
         raise SigmaKError("deformation needs a chain-certified polynomial")
-    if args.y_grid:
-        grid = _parse_grid(args.y_grid)
-    else:
+    if grid is None:
         m = cert.top_multiplicity or 1
         low = refine(cert.chain[min(m, len(cert.chain) - 1)], Fraction(1, 10**6)).interval.hi
         high = refine(cert.chain[0], Fraction(1, 10**6)).interval.lo
@@ -377,11 +369,8 @@ def _cmd_deform(args) -> int:
             raise SigmaKError("degenerate deformation window")
         step = (high - low) / 12
         grid = [low + step * i for i in range(1, 13)]
-    x_max = (
-        parse_rational(args.x_max)
-        if args.x_max
-        else refine(cert.chain[0], Fraction(1, 10**6)).interval.hi * Fraction(17, 10) + 1
-    )
+    if x_max is None:
+        x_max = refine(cert.chain[0], Fraction(1, 10**6)).interval.hi * Fraction(17, 10) + 1
     rows = analysis.deformation_profile(
         target, grid, args.samples, x_max, certificate=cert
     )
@@ -402,17 +391,7 @@ def _cmd_deform(args) -> int:
         extras["csv"] = args.csv
     else:
         extras["rows"] = [[f"{a:.12g}", f"{b:.12g}", f"{c:.12g}"] for a, b, c in rows]
-    t2 = time.perf_counter()
-    _emit(
-        _report(
-            input_obj,
-            "deformation",
-            [],
-            extras,
-            {"parse": (t1 - t0) * 1e3, "compute": (t2 - t1) * 1e3},
-        )
-    )
-    return 0
+    return "deformation", [], extras
 
 
 def _cmd_preset(args) -> int:
@@ -460,35 +439,32 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="certify stability / level-set convexity")
     certify.add_argument("input", nargs="?", default="-")
     certify.add_argument("--digits", type=int, default=3)
-    mode = certify.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="float_mode", action="store_false", default=False)
-    mode.add_argument("--float", dest="float_mode", action="store_true")
+    certify.add_argument("--float", dest="float_mode", action="store_true")
     certify.add_argument(
         "--convexity-pairs",
         type=int,
         default=0,
         help="optionally run a seeded midpoint convexity check (SIGMAK_SEED)",
     )
-    certify.set_defaults(func=_cmd_certify)
+    certify.set_defaults(func=_run_report, steps=(_parse_certify, _certify))
 
     dominance = sub.add_parser("dominance", help="per-level chain comparison of two equations")
     dominance.add_argument("dominator")
     dominance.add_argument("dominated")
-    dominance.add_argument("--digits", type=int, default=3)
-    dominance.set_defaults(func=_cmd_dominance)
+    dominance.set_defaults(func=_run_report, steps=(_parse_dominance, _dominance))
 
     membership = sub.add_parser("membership", help="nested cone membership of a point")
     membership.add_argument("input")
     membership.add_argument("--point", required=True)
     membership.add_argument("--exhaustive", action="store_true")
-    membership.set_defaults(func=_cmd_membership)
+    membership.set_defaults(func=_run_report, steps=(_parse_membership, _membership))
 
     alpha_cmd = sub.add_parser("alpha", help="log-concavity ratio profile as CSV")
     alpha_cmd.add_argument("input")
     alpha_cmd.add_argument("--range", required=True)
     alpha_cmd.add_argument("--samples", type=int, required=True)
     alpha_cmd.add_argument("--csv")
-    alpha_cmd.set_defaults(func=_cmd_alpha)
+    alpha_cmd.set_defaults(func=_run_report, steps=(_parse_alpha, _alpha))
 
     deform = sub.add_parser("deform", help="deformation family ratio profile as CSV")
     deform.add_argument("input", nargs="?")
@@ -497,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     deform.add_argument("--samples", type=int, default=200)
     deform.add_argument("--x-max", dest="x_max")
     deform.add_argument("--csv")
-    deform.set_defaults(func=_cmd_deform)
+    deform.set_defaults(func=_run_report, steps=(_parse_deform, _deform))
 
     preset = sub.add_parser("preset", help="emit a named equation as canonical JSON")
     preset.add_argument("name")

@@ -247,18 +247,19 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def _clear_denominators(p: Poly) -> tuple[list[int], int]:
+    """Integer coefficients of ``den * p`` for the least positive ``den`` making them integral."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
 def _primitive(p: Poly) -> Poly:
     """Scale by a positive rational so coefficients are coprime integers."""
     if p.is_zero:
         return p
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return Poly([Fraction(v, g) for v in ints])
+    ints, _ = _clear_denominators(p)
+    g = math.gcd(*ints)
+    return Poly([v // g for v in ints])
 
 
 class SturmChain:
@@ -350,69 +351,6 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 # -- resultants ---------------------------------------------------------------
 
 
-def _sylvester_matrix(p1: Poly, p2: Poly) -> list[list[Fraction]]:
-    d, e = int(p1.degree), int(p2.degree)
-    size = d + e
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(e):
-        for i in range(d + 1):
-            m[j + i][j] = p1.coeffs[d - i]
-    for j in range(d):
-        for i in range(e + 1):
-            m[j + i][e + j] = p2.coeffs[e - i]
-    return m
-
-
-def _bareiss_determinant(m: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination.
-
-    Rows are first scaled to integers; the accumulated scale divides the
-    result at the end so the value is the exact rational determinant.
-    """
-    size = len(m)
-    if size == 0:
-        return Fraction(1)
-    scale = 1
-    rows: list[list[int]] = []
-    for row in m:
-        den = 1
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        scale *= den
-        rows.append([int(c * den) for c in row])
-    sign_fix = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, size):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign_fix = -sign_fix
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign_fix * rows[size - 1][size - 1], scale)
-
-
-def _clear_denominators(p: Poly) -> tuple[list[int], int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs], den
-
-
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for v in cs:
-        g = math.gcd(g, abs(v))
-    return g or 1
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of integer polynomials: ``lc(b)^(da-db+1) * a mod b``.
 
@@ -443,7 +381,7 @@ def _resultant_subresultant(a: list[int], b: list[int]) -> int:
         if da % 2 == 1 and db % 2 == 1:
             s = -s
         a, b, da, db = b, a, db, da
-    ca, cb = _int_content(a), _int_content(b)
+    ca, cb = math.gcd(*a), math.gcd(*b)
     a = [v // ca for v in a]
     b = [v // cb for v in b]
     t = s * ca**db * cb**da
@@ -472,9 +410,8 @@ def _resultant_subresultant(a: list[int], b: list[int]) -> int:
 def resultant(p1: Poly, p2: Poly) -> Fraction:
     """Determinant of the Sylvester matrix of ``p1`` and ``p2``.
 
-    Fraction-free Bareiss elimination on the matrix itself up to degree 12,
-    subresultant remainder sequence above (identical exact value, no
-    intermediate coefficient blowup).
+    Computed by the subresultant remainder sequence on the integer forms of
+    both polynomials, which keeps intermediate coefficients from blowing up.
     """
     if p1.is_zero or p2.is_zero:
         raise ZeroPolynomial("resultant needs two nonzero polynomials")
@@ -485,12 +422,9 @@ def resultant(p1: Poly, p2: Poly) -> Fraction:
         return p1.coeffs[0] ** e
     if e == 0:
         return p2.coeffs[0] ** d
-    if max(d, e) <= 12:
-        return _bareiss_determinant(_sylvester_matrix(p1, p2))
     a, da = _clear_denominators(p1)
     b, db = _clear_denominators(p2)
-    value = _resultant_subresultant(a, b)
-    return Fraction(value) / (Fraction(da) ** e * Fraction(db) ** d)
+    return Fraction(_resultant_subresultant(a, b), da**e * db**d)
 
 
 def discriminant(p: Poly) -> Fraction:

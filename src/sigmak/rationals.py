@@ -9,18 +9,32 @@ small numeric helpers.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
-Rational = Fraction
+# Bounds on rational literals: an exponent like "1e1000000000" would
+# otherwise be expanded into an integer of a billion digits.
+MAX_RATIONAL_LENGTH = 4096
+MAX_DECIMAL_EXPONENT = 4096
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"19"``, ``"-64"``, ``"1/3"`` or a decimal string like ``"0.25"``.
 
     Decimal strings are read as exact scaled integers, never through binary
-    floating point.
+    floating point.  Literals longer than ``MAX_RATIONAL_LENGTH`` characters
+    or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude
+    raise ``ValueError``.
     """
-    return Fraction(text.strip())
+    text = text.strip()
+    if len(text) > MAX_RATIONAL_LENGTH:
+        raise ValueError(f"rational literal longer than {MAX_RATIONAL_LENGTH} characters")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def format_rational(value: Fraction) -> str:

@@ -338,13 +338,3 @@ def count_real_roots_with_multiplicity(p: Poly) -> int:
     for fac, mult in yun_decomposition(p):
         total += mult * sturm_chain(fac).count_all()
     return total
-
-
-def multiplicity_at(p: Poly, alpha: AlgebraicNumber) -> int:
-    """Multiplicity of ``alpha`` as a root of ``p`` (0 when not a root)."""
-    if sign_at(p, alpha) != 0:
-        return 0
-    for fac, mult in yun_decomposition(p):
-        if sign_at(fac, alpha) == 0:
-            return mult
-    raise AssertionError("root vanished from its own squarefree decomposition")

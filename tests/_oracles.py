@@ -1,10 +1,15 @@
-"""Independent numeric oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here goes through numpy floating point and stays deliberately
-separate from the exact code paths it is used to check.
+The root and chain oracles go through numpy floating point.  The resultant
+oracle is an exact determinant of the Sylvester matrix by fraction-free
+Bareiss elimination, an algorithm ``sigmak.poly`` does not use.  Both stay
+deliberately separate from the exact code paths they are used to check.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,3 +109,52 @@ def near_tie(coeffs_ascending, gap: float = 1e-6) -> bool:
                     return True
         current = [current[i] * i for i in range(1, len(current))]
     return False
+
+
+def _sylvester_matrix(p1, p2) -> list[list[Fraction]]:
+    d, e = int(p1.degree), int(p2.degree)
+    size = d + e
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(e):
+        for i in range(d + 1):
+            m[j + i][j] = p1.coeffs[d - i]
+    for j in range(d):
+        for i in range(e + 1):
+            m[j + i][e + j] = p2.coeffs[e - i]
+    return m
+
+
+def _bareiss_determinant(m: list[list[Fraction]]) -> Fraction:
+    """Determinant by fraction-free Bareiss elimination.
+
+    Rows are first scaled to integers; the accumulated scale divides the
+    result at the end so the value is the exact rational determinant.
+    """
+    size = len(m)
+    if size == 0:
+        return Fraction(1)
+    scale = 1
+    rows: list[list[int]] = []
+    for row in m:
+        den = 1
+        for c in row:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        scale *= den
+        rows.append([int(c * den) for c in row])
+    sign_fix = 1
+    prev = 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, size):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign_fix = -sign_fix
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return Fraction(sign_fix * rows[size - 1][size - 1], scale)

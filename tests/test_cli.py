@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from sigmak.cli import canonical_body, main
+from sigmak.rationals import parse_rational
 
 EX11 = {"n": 5, "c": ["-20", "9", "-64", "19", "0"]}
 EX12 = {"n": 5, "c": ["-24", "-2", "65", "19", "0"]}
@@ -236,3 +239,91 @@ class TestPreset:
             code, out2, _ = run(capsys, "certify", str(path))
             assert code == 0
             assert json.loads(out2)["verdict"] == "strictly-stable-convex"
+
+
+class TestReportCommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "{ex11}"],
+            ["dominance", "{ex12}", "{ex11}"],
+            ["membership", "{ex11}", "--point", "12,12,12,12,12"],
+            ["alpha", "{ex11}", "--range", "11.7:18", "--samples", "16", "--csv", "{csv}"],
+            [
+                "deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "2.25:5:4",
+                "--samples", "10", "--x-max", "8.4", "--csv", "{csv}",
+            ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_envelope_and_determinism(self, tmp_path, capsys, argv):
+        paths = {
+            "ex11": write_json(tmp_path / "f.json", EX11),
+            "ex12": write_json(tmp_path / "g.json", EX12),
+            "csv": str(tmp_path / "out.csv"),
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        bodies = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            report = json.loads(out)
+            assert code == 0
+            assert set(report["timings_ms"]) == {"parse", "compute"}
+            bodies.append(json.dumps(canonical_body(report)))
+        assert bodies[0] == bodies[1]
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with an error line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 3, "c": "123"},
+            {"n": 2, "c": {"1": 0, "2": 0}},
+            {"n": 2, "c": [True, "0"]},
+            {"n": True, "c": ["1"]},
+            {"n": 2.9, "c": ["1", "0"]},
+        ],
+    )
+    def test_bad_equation_shape(self, tmp_path, capsys, obj):
+        path = write_json(tmp_path / "f.json", obj)
+        code, out, err = run(capsys, "certify", path)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"n": 1, "c": ["\xff"]}', b"[" * 200000 + b"]" * 200000],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_file(self, tmp_path, capsys, content):
+        path = tmp_path / "f.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "certify", str(path))
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--digits", "0"], ["--digits", "-1"], ["--convexity-pairs", "-3"]],
+    )
+    def test_certify_options(self, tmp_path, capsys, extra):
+        path = write_json(tmp_path / "f.json", EX11)
+        code, _, err = run(capsys, "certify", path, *extra)
+        assert code == 2 and err.startswith("error:")
+
+    def test_deform_bad_x_max(self, capsys):
+        code, _, err = run(capsys, "deform", "--poly", "1275,-260,-24,0,1", "--x-max", "abc")
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("bounds", ["12:inf", "-inf:12"])
+    def test_alpha_infinite_range(self, tmp_path, capsys, bounds):
+        path = write_json(tmp_path / "f.json", EX11)
+        code, _, err = run(capsys, "alpha", path, f"--range={bounds}", "--samples", "4")
+        assert code == 2 and err.startswith("error:")
+
+    def test_huge_exponent_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            parse_rational("1e100001")
+        path = write_json(tmp_path / "f.json", EX11)
+        code, _, err = run(capsys, "membership", path, "--point", "1e100001,1,1,1,1")
+        assert code == 2 and err.startswith("error:")

@@ -7,10 +7,8 @@ import pytest
 from sigmak.errors import DegreeTooLow, ZeroPolynomial
 from sigmak.poly import (
     Poly,
-    _bareiss_determinant,
     _resultant_subresultant,
     _clear_denominators,
-    _sylvester_matrix,
     derivative,
     discriminant,
     evaluate,
@@ -22,7 +20,12 @@ from sigmak.poly import (
     yun_decomposition,
 )
 
-from _oracles import distinct_real_roots, resultant_by_root_product
+from _oracles import (
+    _bareiss_determinant,
+    _sylvester_matrix,
+    distinct_real_roots,
+    resultant_by_root_product,
+)
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 FIG2_QUARTIC = Poly([1275, -260, -24, 0, 1])  # (x-5)^2 (x^2+10x+51)
