@@ -40,7 +40,7 @@ from .errors import (
 )
 from .poly import Poly, derivative, evaluate, taylor_shift
 from .rationals import comb0
-from .realroots import Order, compare, from_rational, refine
+from .realroots import Order, bracket, compare, from_rational
 from .rootchain import ChainCertificate, ChainVerdict, certify_right
 
 
@@ -203,8 +203,7 @@ def monotonicity_scan(
         raise DegreeTooLow("scan needs degree >= 2")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    x1 = refine(cert.chain[1], Fraction(1, 10**12))
-    base = x1.interval.hi
+    base = bracket(cert.chain[1], 12)[1]
     span = Fraction(span)
     if eps is None:
         eps = Fraction(1, 10**9) * (1 + abs(base))
@@ -319,6 +318,13 @@ def deformation(
     return DeformationState(y=y, multiplicity=m, poly=back)
 
 
+def _x_max(cert: ChainCertificate, x_max) -> Fraction:
+    """``x_max``, or by default 1.7 times the 6-digit upper bracket of ``x_0``, plus 1."""
+    if x_max is None:
+        return bracket(cert.chain[0], 6)[1] * Fraction(17, 10) + 1
+    return Fraction(x_max)
+
+
 @dataclass(frozen=True)
 class DescentReport:
     curves: int
@@ -349,10 +355,7 @@ def deformation_alpha_descent(
     states = [deformation(p, y, certificate=cert) for y in ys]
     if len(ys) < 2:
         return DescentReport(len(ys), 0, None, True)
-    if x_max is None:
-        top = refine(cert.chain[0], Fraction(1, 10**6)).interval.hi
-        x_max = top * Fraction(17, 10) + 1
-    x_max = Fraction(x_max)
+    x_max = _x_max(cert, x_max)
     x_margin = Fraction(x_margin)
     min_margin = None
     comparisons = 0
@@ -599,7 +602,7 @@ def deformation_profile(
     p: Poly,
     y_grid: Sequence,
     x_count: int,
-    x_max,
+    x_max=None,
     *,
     certificate: Optional[ChainCertificate] = None,
 ) -> list[tuple[float, float, float]]:
@@ -607,6 +610,7 @@ def deformation_profile(
     cert = certificate if certificate is not None else certify_right(p)
     if not cert.succeeded:
         raise NotCertified("deformation profile needs a certified polynomial")
+    x_max = _x_max(cert, x_max)
     rows = []
     for y in sorted(Fraction(v) for v in y_grid):
         state = deformation(p, y, certificate=cert)

@@ -38,12 +38,15 @@ from .presets import (
     parse_phase,
 )
 from .rationals import format_rational, parse_rational
-from .realroots import Order, approx, refine
+from .realroots import Order, approx, bracket
 from .rootchain import certify_right
 
 SCHEMA_VERSION = "1"
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
+# upper bounds on sizes read from the command line
+MAX_DIGITS = 100
+MAX_SAMPLES = 10000
 
 
 class UsageError(Exception):
@@ -97,15 +100,11 @@ def _chain_payload(cert, digits: int) -> list[dict]:
         if alg is None:
             rows.append({"level": level, "approx": None, "interval": None})
             continue
-        tight = refine(alg, Fraction(1, 10 ** (digits + 3)))
         rows.append(
             {
                 "level": level,
                 "approx": approx(alg, digits),
-                "interval": [
-                    format_rational(tight.interval.lo),
-                    format_rational(tight.interval.hi),
-                ],
+                "interval": [format_rational(end) for end in bracket(alg, digits + 3)],
             }
         )
     return rows
@@ -142,10 +141,6 @@ def _run_report(args) -> int:
     return 0
 
 
-def _seed() -> int:
-    return int(os.environ.get("SIGMAK_SEED", "0"))
-
-
 def _numeric_chain(p: Poly) -> list[float]:
     """Float largest-root chain of every derivative; non-certificate path."""
     import numpy as np
@@ -167,14 +162,19 @@ def _numeric_chain(p: Poly) -> list[float]:
 
 def _parse_certify(args):
     equation = _read_equation(args.input)
-    if args.digits < 1:
-        raise UsageError("--digits must be >= 1")
+    if not 1 <= args.digits <= MAX_DIGITS:
+        raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
     if args.convexity_pairs < 0:
         raise UsageError("--convexity-pairs must be >= 0")
-    return _equation_json(equation), equation
+    try:
+        seed = int(os.environ.get("SIGMAK_SEED", "0"))
+    except ValueError as exc:
+        raise UsageError(f"SIGMAK_SEED must be an integer: {exc}") from exc
+    return _equation_json(equation), (equation, seed)
 
 
-def _certify(args, equation):
+def _certify(args, state):
+    equation, seed = state
     extras: dict = {}
     if args.float_mode:
         chain = _numeric_chain(diagonal_restriction(equation))
@@ -204,7 +204,7 @@ def _certify(args, equation):
             extras["missing_root"] = cert.missing_root
     if args.convexity_pairs > 0:
         mid = analysis.midpoint_convexity_test(
-            equation, args.convexity_pairs, _seed(), mode="float"
+            equation, args.convexity_pairs, seed, mode="float"
         )
         extras["midpoint_check"] = {
             "pairs": mid.pairs,
@@ -291,8 +291,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def _parse_alpha(args):
     equation = _read_equation(args.input)
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
     lo, hi = _parse_range(args.range)
     return _equation_json(equation), (equation, lo, hi)
 
@@ -329,8 +329,8 @@ def _parse_grid(text: str) -> list[Fraction]:
             lo, hi, count = parse_rational(parts[0]), parse_rational(parts[1]), int(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad grid: {exc}") from exc
-        if count < 1 or not hi >= lo:
-            raise UsageError("grid needs lo <= hi and count >= 1")
+        if not 1 <= count <= MAX_SAMPLES or not hi >= lo:
+            raise UsageError(f"grid needs lo <= hi and 1 <= count <= {MAX_SAMPLES}")
         if count == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
@@ -349,8 +349,8 @@ def _parse_deform(args):
         equation = _read_equation(args.input)
         target = diagonal_restriction(equation)
         input_obj = _equation_json(equation)
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
     grid = _parse_grid(args.y_grid) if args.y_grid else None
     x_max = _rational(args.x_max, "--x-max") if args.x_max else None
     return input_obj, (target, grid, x_max)
@@ -363,14 +363,12 @@ def _deform(args, state):
         raise SigmaKError("deformation needs a chain-certified polynomial")
     if grid is None:
         m = cert.top_multiplicity or 1
-        low = refine(cert.chain[min(m, len(cert.chain) - 1)], Fraction(1, 10**6)).interval.hi
-        high = refine(cert.chain[0], Fraction(1, 10**6)).interval.lo
+        low = bracket(cert.chain[min(m, len(cert.chain) - 1)], 6)[1]
+        high = bracket(cert.chain[0], 6)[0]
         if not high > low:
             raise SigmaKError("degenerate deformation window")
         step = (high - low) / 12
         grid = [low + step * i for i in range(1, 13)]
-    if x_max is None:
-        x_max = refine(cert.chain[0], Fraction(1, 10**6)).interval.hi * Fraction(17, 10) + 1
     rows = analysis.deformation_profile(
         target, grid, args.samples, x_max, certificate=cert
     )

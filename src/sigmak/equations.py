@@ -34,7 +34,7 @@ from .errors import (
 )
 from .poly import Poly
 from .rationals import comb0
-from .realroots import Order, compare, refine
+from .realroots import Order, bracket, compare
 from .rootchain import ChainCertificate, ChainVerdict, certify_right
 
 FLOAT_MARGIN = 1e-9
@@ -333,8 +333,7 @@ def sample_region(
         raise ValueError("count must be >= 0")
     if count == 0:
         return []
-    x0 = refine(report.certificate.chain[0], Fraction(1, 10**6))
-    x0_hi = x0.interval.hi
+    x0_hi = bracket(report.certificate.chain[0], 6)[1]
     if spread is None:
         spread = x0_hi + 1
         if spread <= 0:

@@ -59,30 +59,3 @@ def comb0(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def round_half_even(value: Fraction, digits: int) -> Fraction:
-    """Round to ``digits`` decimal places, ties to the even last digit."""
-    scale = Fraction(10) ** digits
-    shifted = value * scale
-    floor = shifted.numerator // shifted.denominator
-    rest = shifted - floor
-    if rest > Fraction(1, 2):
-        floor += 1
-    elif rest == Fraction(1, 2) and floor % 2 != 0:
-        floor += 1
-    return Fraction(floor, scale.numerator)
-
-
-def format_decimal(value: Fraction, digits: int) -> str:
-    """Fixed-point decimal string with exactly ``digits`` fractional digits."""
-    rounded = round_half_even(value, digits)
-    scaled = rounded * 10**digits
-    units = int(scaled)
-    neg = units < 0
-    units = abs(units)
-    whole, frac = divmod(units, 10**digits)
-    body = f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
-    if neg and units != 0:
-        return "-" + body
-    return body

@@ -5,11 +5,17 @@ rational isolating interval containing exactly one of its roots.  Every query
 below (sign of a polynomial at the number, comparison of two numbers, decimal
 approximation) is decided exactly: bisection refines the interval, Sturm
 counts certify containment, and gcd computations settle coincidences.
+
+``bracket`` is the only way a root becomes a rational: the decimal grid
+points next to it, which depend on the number alone and never on how far
+isolation or bisection happened to go.  ``approx``, report intervals and the
+seeded base points of sampling and scans are all taken from it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +31,7 @@ from .poly import (
     taylor_shift,
     yun_decomposition,
 )
-from .rationals import format_decimal, round_half_even, sign
+from .rationals import sign
 
 
 @dataclass(frozen=True)
@@ -292,40 +298,47 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
             return Order.LESS if a_lo < b_lo else Order.GREATER
 
 
+def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
+    """``(floor(alpha * 10**digits), ceil(alpha * 10**digits)) / 10**digits``.
+
+    The two ends are equal exactly when ``alpha`` is that decimal.  The
+    result depends on the number alone, not on its isolating interval:
+    bisection cuts only at grid points inside the interval, and a grid point
+    where the defining polynomial vanishes is the number itself.
+    """
+    scale = 10**digits
+    if alpha.is_rational:
+        value = alpha.rational_value * scale
+        return Fraction(math.floor(value), scale), Fraction(math.ceil(value), scale)
+    # the root lies strictly inside the interval; grid points a..b lie there too
+    a = math.floor(alpha.interval.lo * scale) + 1
+    b = math.ceil(alpha.interval.hi * scale) - 1
+    while a <= b:
+        k = (a + b) // 2
+        s = sign(evaluate(alpha.defining, Fraction(k, scale)))
+        if s == 0:
+            return Fraction(k, scale), Fraction(k, scale)
+        if s == alpha._sign_lo:
+            a = k + 1
+        else:
+            b = k - 1
+    return Fraction(b, scale), Fraction(a, scale)
+
+
 def approx(alpha: AlgebraicNumber, digits: int) -> str:
     """Decimal approximation with error below ``10**-digits``, final digit rounded half-even.
 
-    When the root sits exactly on a rounding boundary the defining polynomial
-    decides it; otherwise refinement separates the interval from the boundary.
+    The bracket one digit further decides the rounding: a next digit of 5 is
+    an exact tie only when that bracket is a point.
     """
     if digits < 1:
         raise ValueError("digits must be a positive integer")
-    if alpha.is_rational:
-        return format_decimal(alpha.rational_value, digits)
-    eps = Fraction(1, 10 ** (digits + 2))
-    current = refine(alpha, eps)
-    while True:
-        lo, hi = current.interval.lo, current.interval.hi
-        r_lo = round_half_even(lo, digits)
-        r_hi = round_half_even(hi, digits)
-        if r_lo == r_hi:
-            return format_decimal(current.interval.midpoint(), digits)
-        # the interval straddles a rounding boundary; test whether the root is it
-        step = Fraction(1, 10**digits)
-        boundary = None
-        grid = (lo * 10**digits).numerator // (lo * 10**digits).denominator
-        for k in (grid, grid + 1, grid + 2):
-            cand_half = Fraction(2 * k + 1, 2 * 10**digits)
-            cand_grid = Fraction(k, 10**digits)
-            for cand in (cand_half, cand_grid):
-                if lo < cand < hi:
-                    boundary = cand
-                    break
-            if boundary is not None:
-                break
-        if boundary is not None and evaluate(current.defining, boundary) == 0:
-            return format_decimal(boundary, digits)
-        current = refine(current, current.interval.width / 4)
+    lo, hi = bracket(alpha, digits + 1)
+    kept, next_digit = divmod((lo * 10 ** (digits + 1)).numerator, 10)
+    if next_digit > 5 or (next_digit == 5 and (lo != hi or kept % 2)):
+        kept += 1
+    whole, frac = divmod(abs(kept), 10**digits)
+    return f"{'-' if kept < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
 def count_real_roots_with_multiplicity(p: Poly) -> int:

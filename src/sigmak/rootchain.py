@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegreeTooLow, NoRealRoot, ZeroPolynomial
-from .poly import Poly, derivative
+from .poly import Poly, derivative, sturm_chain
 from .realroots import (
     AlgebraicNumber,
     count_real_roots_with_multiplicity,
     from_rational,
-    isolate_real_roots,
     largest_real_root,
     sign_at,
 )
@@ -81,14 +80,13 @@ def certify_right(p: Poly) -> ChainCertificate:
         s = sign_at(ders[k], chain[k + 1])
         signs[k] = s
         if s > 0:
-            missing = not isolate_real_roots(ders[k])
             return ChainCertificate(
                 verdict=ChainVerdict.FAILED,
                 polynomial=p,
                 chain=tuple(chain),
                 signs=tuple(signs),
                 failure_level=k,
-                missing_root=missing,
+                missing_root=sturm_chain(ders[k]).count_all() == 0,
             )
         chain[k] = largest_real_root(ders[k])
 

@@ -311,6 +311,30 @@ class TestMalformedInput:
         code, _, err = run(capsys, "certify", path, *extra)
         assert code == 2 and err.startswith("error:")
 
+    def test_non_integer_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIGMAK_SEED", "abc")
+        path = write_json(tmp_path / "f.json", EX11)
+        code, out, err = run(capsys, "certify", path, "--convexity-pairs", "2")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "{f}", "--digits", "101"],
+            ["alpha", "{f}", "--range", "11.7:18", "--samples", "10001"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "3", "--x-max", "8.4",
+             "--samples", "10001"],
+            ["deform", "--poly=-1,0,1", "--y-grid", "1/2:1/2:10001", "--x-max", "3", "--samples", "1"],
+        ],
+        ids=["digits", "alpha-samples", "deform-samples", "grid-count"],
+    )
+    def test_size_caps(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "f.json", EX11)
+        code, out, err = run(capsys, *[arg.format(f=path) for arg in argv])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_deform_bad_x_max(self, capsys):
         code, _, err = run(capsys, "deform", "--poly", "1275,-260,-24,0,1", "--x-max", "abc")
         assert code == 2 and err.startswith("error:")
