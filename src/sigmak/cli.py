@@ -38,15 +38,18 @@ from .presets import (
     parse_phase,
 )
 from .rationals import format_rational, parse_rational
-from .realroots import Order, approx, bracket
+from .realroots import Order, bracket, rounded
 from .rootchain import certify_right
 
 SCHEMA_VERSION = "1"
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
-# upper bounds on sizes read from the command line
+# upper bounds on sizes read from the command line; MAX_SAMPLES also caps
+# the rows `deform` computes, its samples times its curves
 MAX_DIGITS = 100
 MAX_SAMPLES = 10000
+# curves in the default `deform` grid
+DEFORM_CURVES = 12
 
 
 class UsageError(Exception):
@@ -100,11 +103,12 @@ def _chain_payload(cert, digits: int) -> list[dict]:
         if alg is None:
             rows.append({"level": level, "approx": None, "interval": None})
             continue
+        interval = bracket(alg, digits + 3)
         rows.append(
             {
                 "level": level,
-                "approx": approx(alg, digits),
-                "interval": [format_rational(end) for end in bracket(alg, digits + 3)],
+                "approx": rounded(interval, digits),
+                "interval": [format_rational(end) for end in interval],
             }
         )
     return rows
@@ -352,6 +356,11 @@ def _parse_deform(args):
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
     grid = _parse_grid(args.y_grid) if args.y_grid else None
+    curves = DEFORM_CURVES if grid is None else len(grid)
+    if args.samples * curves > MAX_SAMPLES:
+        raise UsageError(
+            f"--samples times the {curves} grid curves must be at most {MAX_SAMPLES}"
+        )
     x_max = _rational(args.x_max, "--x-max") if args.x_max else None
     return input_obj, (target, grid, x_max)
 
@@ -367,8 +376,8 @@ def _deform(args, state):
         high = bracket(cert.chain[0], 6)[0]
         if not high > low:
             raise SigmaKError("degenerate deformation window")
-        step = (high - low) / 12
-        grid = [low + step * i for i in range(1, 13)]
+        step = (high - low) / DEFORM_CURVES
+        grid = [low + step * i for i in range(1, DEFORM_CURVES + 1)]
     rows = analysis.deformation_profile(
         target, grid, args.samples, x_max, certificate=cert
     )

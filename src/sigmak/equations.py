@@ -156,7 +156,9 @@ _VERDICT_FROM_CHAIN = {
 }
 
 
-@lru_cache(maxsize=512)
+# callers query a handful of equations repeatedly; a larger cache only keeps
+# the certificates of equations never asked about again alive
+@lru_cache(maxsize=64)
 def certify_stable(f: SigmaKPolynomial) -> StabilityReport:
     """Stability of the equation, decided on the diagonal restriction."""
     cert = certify_right(diagonal_restriction(f))

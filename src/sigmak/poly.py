@@ -316,8 +316,7 @@ def _count_variations(signs: Sequence[int]) -> int:
     return out
 
 
-@lru_cache(maxsize=4096)
-def sturm_chain(p: Poly) -> SturmChain:
+def sturm_sequence(p: Poly) -> SturmChain:
     """Standard Sturm chain built on the squarefree part of ``p``.
 
     Chain polynomials are rescaled by positive factors to primitive integer
@@ -335,6 +334,12 @@ def sturm_chain(p: Poly) -> SturmChain:
             break
         chain.append(_primitive(-rem))
     return SturmChain(chain)
+
+
+@lru_cache(maxsize=4096)
+def sturm_chain(p: Poly) -> SturmChain:
+    """``sturm_sequence``, cached for polynomials whose roots are queried again."""
+    return sturm_sequence(p)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:

@@ -1,10 +1,11 @@
 """Certified real-root isolation and exact algebraic-number queries.
 
-A real algebraic number is a squarefree defining polynomial together with a
-rational isolating interval containing exactly one of its roots.  Every query
-below (sign of a polynomial at the number, comparison of two numbers, decimal
-approximation) is decided exactly: bisection refines the interval, Sturm
-counts certify containment, and gcd computations settle coincidences.
+A real algebraic number is a defining polynomial together with a rational
+isolating interval containing exactly one of its roots, a simple one.
+Every query below (sign of a polynomial at the number, comparison of two
+numbers, decimal approximation) is decided exactly: bisection refines the
+interval, Sturm counts certify containment, and gcd computations settle
+coincidences.
 
 ``bracket`` is the only way a root becomes a rational: the decimal grid
 points next to it, which depend on the number alone and never on how far
@@ -68,11 +69,13 @@ class Order(enum.Enum):
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """One real root of a squarefree polynomial, pinned by an isolating interval.
+    """One real root of a polynomial, pinned by an isolating interval.
 
-    ``defining`` is monic and squarefree; when the interval is a point the
-    root is that rational number itself.  ``multiplicity_in_source`` records
-    the multiplicity the root had in the polynomial it was isolated from.
+    The interval holds exactly one root of ``defining``, and it is simple;
+    when the interval is a point the root is that rational number itself,
+    otherwise it lies strictly inside, where ``defining`` changes sign.
+    ``multiplicity_in_source`` records the multiplicity the root had in the
+    polynomial it was isolated from.
     """
 
     defining: Poly
@@ -333,9 +336,21 @@ def approx(alpha: AlgebraicNumber, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be a positive integer")
-    lo, hi = bracket(alpha, digits + 1)
-    kept, next_digit = divmod((lo * 10 ** (digits + 1)).numerator, 10)
-    if next_digit > 5 or (next_digit == 5 and (lo != hi or kept % 2)):
+    return rounded(bracket(alpha, digits + 1), digits)
+
+
+def rounded(deeper: tuple[Fraction, Fraction], digits: int) -> str:
+    """``approx(alpha, digits)`` from ``deeper``, ``bracket(alpha, d)`` for some ``d > digits``.
+
+    ``deeper`` fixes ``bracket(alpha, digits + 1)``, which decides the
+    rounding: its lower end is ``lo`` rounded down to that grid, and it is a
+    point exactly when ``deeper`` is a point on that grid.
+    """
+    lo, hi = deeper
+    scaled = lo * 10 ** (digits + 1)
+    kept, next_digit = divmod(math.floor(scaled), 10)
+    tie = lo == hi and scaled.denominator == 1
+    if next_digit > 5 or (next_digit == 5 and (not tie or kept % 2)):
         kept += 1
     whole, frac = divmod(abs(kept), 10**digits)
     return f"{'-' if kept < 0 else ''}{whole}.{frac:0{digits}d}"

@@ -2,7 +2,10 @@
 
 The root and chain oracles go through numpy floating point.  The resultant
 oracle is an exact determinant of the Sylvester matrix by fraction-free
-Bareiss elimination, an algorithm ``sigmak.poly`` does not use.  Both stay
+Bareiss elimination, an algorithm ``sigmak.poly`` does not use.  The exact
+chain oracle certifies the right chain by isolating every real root of
+every derivative with Sturm chains and keeping the largest, where
+``sigmak.rootchain`` runs one monotone sign test per level.  All stay
 deliberately separate from the exact code paths they are used to check.
 """
 
@@ -12,6 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from sigmak.poly import Poly, derivative, sturm_chain
+from sigmak.realroots import from_rational, largest_real_root, sign_at
+from sigmak.rootchain import ChainCertificate, ChainVerdict
 
 
 def complex_roots(coeffs_ascending) -> np.ndarray:
@@ -158,3 +165,44 @@ def _bareiss_determinant(m: list[list[Fraction]]) -> Fraction:
             rows[i][k] = 0
         prev = rows[k][k]
     return Fraction(sign_fix * rows[size - 1][size - 1], scale)
+
+
+def certify_right_by_isolation(p: Poly) -> ChainCertificate:
+    """Right-chain certificate from full root isolation of every derivative.
+
+    ``chain[k]`` is the largest of all isolated real roots of ``p^(k)``;
+    ``signs[k]`` is ``sign_at(p^(k), chain[k+1])``.  Expects degree >= 1.
+    """
+    p = -p if p.lc < 0 else p
+    n = int(p.degree)
+    ders = [p]
+    for _ in range(n - 1):
+        ders.append(derivative(ders[-1]))
+    chain = [None] * n
+    signs = [None] * max(n - 1, 0)
+    lin = ders[n - 1]
+    chain[n - 1] = from_rational(-lin.coeff(0) / lin.coeff(1))
+    for k in range(n - 2, -1, -1):
+        s = sign_at(ders[k], chain[k + 1])
+        signs[k] = s
+        if s > 0:
+            return ChainCertificate(
+                verdict=ChainVerdict.FAILED,
+                polynomial=p,
+                chain=tuple(chain),
+                signs=tuple(signs),
+                failure_level=k,
+                missing_root=sturm_chain(ders[k]).count_all() == 0,
+            )
+        chain[k] = largest_real_root(ders[k])
+    if n == 1 or signs[0] < 0:
+        verdict = ChainVerdict.STRICT
+    else:
+        verdict = ChainVerdict.NOT_STRICT
+    return ChainCertificate(
+        verdict=verdict,
+        polynomial=p,
+        chain=tuple(chain),
+        signs=tuple(signs),
+        top_multiplicity=chain[0].multiplicity_in_source,
+    )

@@ -194,6 +194,15 @@ class TestDeform:
         assert code == 0
         assert json.loads(out)["extras"]["curves"] == 12
 
+    def test_default_size_accepted(self, tmp_path, capsys):
+        # 200 samples on each of the 12 default curves, within MAX_SAMPLES rows
+        f = write_json(tmp_path / "f.json", EX11)
+        csv_path = tmp_path / "deform.csv"
+        code, out, _ = run(capsys, "deform", f, "--csv", str(csv_path))
+        assert code == 0
+        assert json.loads(out)["extras"]["curves"] == 12
+        assert len(csv_path.read_text().strip().splitlines()) == 1 + 12 * 200
+
 
 class TestPreset:
     def test_monge_ampere_canonical(self, capsys):
@@ -326,8 +335,19 @@ class TestMalformedInput:
             ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "3", "--x-max", "8.4",
              "--samples", "10001"],
             ["deform", "--poly=-1,0,1", "--y-grid", "1/2:1/2:10001", "--x-max", "3", "--samples", "1"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "2.25:5:101", "--samples", "100"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "3,3.5,4", "--samples", "3334"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--samples", "834"],
         ],
-        ids=["digits", "alpha-samples", "deform-samples", "grid-count"],
+        ids=[
+            "digits",
+            "alpha-samples",
+            "deform-samples",
+            "grid-count",
+            "deform-range-grid-product",
+            "deform-list-grid-product",
+            "deform-default-grid-product",
+        ],
     )
     def test_size_caps(self, tmp_path, capsys, argv):
         path = write_json(tmp_path / "f.json", EX11)

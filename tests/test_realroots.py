@@ -8,11 +8,13 @@ from sigmak.poly import Poly, derivative, resultant
 from sigmak.realroots import (
     Order,
     approx,
+    bracket,
     compare,
     from_rational,
     isolate_real_roots,
     largest_real_root,
     refine,
+    rounded,
     sign_at,
 )
 
@@ -226,3 +228,18 @@ class TestApprox:
         positive = roots[-1]
         assert approx(positive, 3) == "0.000"
         assert approx(positive, 4) == "0.0005"
+
+    def test_rounded_from_deeper_bracket(self):
+        # ties at the next digit, just above and below them, and irrational roots
+        numbers = [
+            from_rational(v)
+            for v in (F(5, 10000), F(15, 10000), F(-25, 10000), F(50001, 10**8),
+                      F(4999, 10**7), F(-1, 3), F(7, 2), F(0))
+        ]
+        numbers += isolate_real_roots(Poly([F(-1, 4000000), 0, 1]))
+        numbers += isolate_real_roots(FIG1_QUINTIC) + isolate_real_roots(Poly([-2, 0, 10**6]))
+        for alpha in numbers:
+            for digits in (1, 3, 4):
+                for extra in (1, 2, 3, 5):
+                    deeper = bracket(alpha, digits + extra)
+                    assert rounded(deeper, digits) == approx(alpha, digits)

@@ -1,11 +1,20 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from sigmak.equations import (
+    SigmaKPolynomial,
+    StabilityVerdict,
+    certify_stable,
+    diagonal_restriction,
+)
 from sigmak.errors import DegreeTooLow, NoRealRoot
-from sigmak.poly import Poly, derivative
-from sigmak.realroots import Order, approx, compare, from_rational
+from sigmak.poly import Poly, derivative, evaluate, sturm_chain
+from sigmak.presets import j_equation
+from sigmak.rationals import sign
+from sigmak.realroots import Order, approx, compare, from_rational, sign_at
 from sigmak.rootchain import (
     ChainVerdict,
     certify_left,
@@ -14,7 +23,7 @@ from sigmak.rootchain import (
     multiplicity_at_largest_root,
 )
 
-from _oracles import float_chain_verdict, near_tie
+from _oracles import certify_right_by_isolation, float_chain_verdict, near_tie
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 FIG2_QUARTIC = Poly([1275, -260, -24, 0, 1])
@@ -193,3 +202,152 @@ class TestChainProperties:
             assert verdict == oracle, f"mismatch on {p}"
             compared += 1
         assert compared > 150
+
+
+def from_roots(roots) -> Poly:
+    p = Poly([1])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
+
+
+def repeated_top(rng, max_degree=6):
+    """Real-rooted with the largest root repeated, times a root-free quadratic at times."""
+    roots = [F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(rng.randint(1, max_degree - 2))]
+    p = from_roots(roots + [max(roots)] * rng.randint(1, 2))
+    if rng.random() < 0.3:
+        p = p * Poly([rng.randint(1, 5), 0, 1])
+    return p
+
+
+def half_integer_tie(rng, max_degree=7):
+    """Roots drawn with replacement from a few half-integers: multiple roots and chain ties."""
+    roots = [F(rng.randint(-4, 4), 2) for _ in range(rng.randint(2, max_degree))]
+    return from_roots(roots)
+
+
+def assert_same_certificate(cert, reference, mirrored=False):
+    assert cert.verdict is reference.verdict
+    assert cert.signs == reference.signs
+    assert cert.failure_level == reference.failure_level
+    assert cert.missing_root == reference.missing_root
+    assert cert.top_multiplicity == reference.top_multiplicity
+    assert [a is None for a in cert.chain] == [b is None for b in reference.chain]
+    for a, b in zip(cert.chain, reference.chain):
+        if a is not None:
+            assert compare(a, b.negate() if mirrored else b) is Order.EQUAL
+
+
+def assert_isolates_simple_roots(cert):
+    """Each chain interval holds one simple root of its defining polynomial, a root of p^(k)."""
+    for k, alpha in enumerate(cert.chain):
+        if alpha is None:
+            continue
+        lo, hi = alpha.interval.lo, alpha.interval.hi
+        if alpha.is_rational:
+            assert evaluate(derivative(cert.polynomial, k), lo) == 0
+            continue
+        q = alpha.defining
+        assert sign(evaluate(q, lo)) * sign(evaluate(q, hi)) < 0
+        assert sturm_chain(q).count(lo, hi) == 1
+        assert sign_at(derivative(q), alpha) != 0
+        assert sign_at(derivative(cert.polynomial, k), alpha) == 0
+
+
+def assert_matches_isolation(p):
+    """Both chain certificates of ``p`` agree with full root isolation, level by level."""
+    right = certify_right(p)
+    assert_same_certificate(right, certify_right_by_isolation(p))
+    assert_isolates_simple_roots(right)
+    left = certify_left(p)
+    assert_same_certificate(left, certify_right_by_isolation(p.mirror()), mirrored=True)
+    assert_isolates_simple_roots(left)
+
+
+class TestAgainstIsolation:
+    """The directed certifier against the reference that isolates every root."""
+
+    @pytest.mark.parametrize(
+        "family", [random_int_poly, random_real_rooted, repeated_top, half_integer_tie]
+    )
+    def test_seeded_corpus(self, family):
+        rng = random.Random(41)
+        for _ in range(80):
+            assert_matches_isolation(family(rng))
+
+    def test_degree_one(self):
+        for p in (Poly([3, 2]), Poly([-1, 5]), Poly([F(7, 3), -1])):
+            assert_matches_isolation(p)
+            assert certify_right(p).verdict is ChainVerdict.STRICT
+
+    def test_pure_powers(self):
+        for n in (2, 3, 6):
+            for base in (Poly([0, 1]), Poly([-3, 2])):
+                p = Poly([1])
+                for _ in range(n):
+                    p = p * base
+                assert_matches_isolation(p)
+                assert certify_right(p).top_multiplicity == n
+
+    def test_j_equation_root_at_upper_end(self):
+        # p^(k) vanishes exactly at the upper end of x_{k+1}'s interval: x_k is that end
+        for n, c in ((3, F(1, 2)), (4, F(1, 3)), (7, F(1, 2)), (8, F(1, 3))):
+            p = diagonal_restriction(j_equation(n, c))
+            assert_matches_isolation(p)
+            cert = certify_right(p)
+            assert cert.verdict is ChainVerdict.STRICT
+            assert compare(cert.chain[0], from_rational(n * c)) is Order.EQUAL
+            assert any(alpha.is_rational for alpha in cert.chain[:-1])
+
+    def test_rational_root_hit_by_doubling(self):
+        # x_1 = 0; the search from it lands on the root 1 of p exactly
+        for p in (from_roots([-1, 1]), from_roots([-3, 1, 1, 1]), from_roots([-7, -1, 3])):
+            assert_matches_isolation(p)
+        cert = certify_right(from_roots([-1, 1]))
+        assert cert.chain[0].is_rational and cert.chain[0].rational_value == 1
+
+    @pytest.mark.parametrize("exponent", [200, -200])
+    def test_scaled_coefficients(self, exponent):
+        rng = random.Random(42)
+        for _ in range(3):
+            p = random_real_rooted(rng, max_degree=4) * Poly([rng.randint(-3, 3), 0, 1])
+            # the same roots, and roots scaled by 2**exponent
+            for q in (p.scale(F(2) ** exponent),
+                      Poly([c * F(2) ** (-exponent * i) for i, c in enumerate(p.coeffs)])):
+                assert_matches_isolation(q)
+
+
+def _grid_roots(rng, count):
+    first = -(count // 2)
+    return [F(3 * k + rng.randint(0, 2), 2) for k in range(first, first + count)]
+
+
+def _equation(p: Poly) -> SigmaKPolynomial:
+    """The equation whose diagonal restriction is the monic ``p``."""
+    n = int(p.degree)
+    return SigmaKPolynomial(n, tuple(-p.coeff(k) / math.comb(n, k) for k in range(n)))
+
+
+class TestDegree32:
+    """The certify-highdeg families at n = 32, each with an exact check."""
+
+    def test_rational_rooted(self):
+        roots = _grid_roots(random.Random(320), 32)
+        report = certify_stable(_equation(from_roots(roots)))
+        assert report.verdict is StabilityVerdict.STRICTLY_STABLE
+        assert compare(report.certificate.chain[0], from_rational(max(roots))) is Order.EQUAL
+
+    def test_repeated_top(self):
+        roots = _grid_roots(random.Random(321), 31)
+        report = certify_stable(_equation(from_roots(roots + [max(roots)])))
+        assert report.verdict is StabilityVerdict.STABLE
+        assert report.certificate.top_multiplicity == 2
+        assert compare(report.certificate.chain[0], from_rational(max(roots))) is Order.EQUAL
+
+    def test_no_real_root(self):
+        roots = _grid_roots(random.Random(322), 32)
+        s = from_roots(roots) + Poly([(max(roots) - min(roots)) ** 32 + 1])
+        report = certify_stable(_equation(s))
+        assert report.verdict is StabilityVerdict.NOT_STABLE
+        assert report.certificate.failure_level == 0
+        assert report.certificate.missing_root
