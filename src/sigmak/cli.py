@@ -5,6 +5,10 @@ numbers]}`` with fraction strings kept exact end to end.  Reports are byte-ident
 runs for identical inputs and seeds; wall-clock timings live in a separate
 non-canonical field.  Exit codes: 0 success (whatever the verdict), 2 usage
 or parse errors, 3 internal precondition violations.
+
+``analysis``, ``presets`` and numpy are imported only by the commands that
+use them, so a ``certify``, ``dominance`` or ``membership`` run does not
+load them or mpmath.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import analysis
 from .equations import (
     SigmaKPolynomial,
     StabilityVerdict,
@@ -28,15 +31,6 @@ from .equations import (
 )
 from .errors import SigmaKError
 from .poly import Poly
-from .presets import (
-    DhymSpec,
-    dhym,
-    hessian_type,
-    j_equation,
-    monge_ampere,
-    nonneg_coeff,
-    parse_phase,
-)
 from .rationals import format_rational, parse_rational
 from .realroots import Order, bracket, rounded
 from .rootchain import certify_right
@@ -207,6 +201,8 @@ def _certify(args, state):
             extras["failure_level"] = cert.failure_level
             extras["missing_root"] = cert.missing_root
     if args.convexity_pairs > 0:
+        from . import analysis
+
         mid = analysis.midpoint_convexity_test(
             equation, args.convexity_pairs, seed, mode="float"
         )
@@ -302,6 +298,8 @@ def _parse_alpha(args):
 
 
 def _alpha(args, state):
+    from . import analysis
+
     equation, lo, hi = state
     report = certify_stable(equation)
     if not report.is_stable:
@@ -366,6 +364,8 @@ def _parse_deform(args):
 
 
 def _deform(args, state):
+    from . import analysis
+
     target, grid, x_max = state
     cert = certify_right(target)
     if not cert.succeeded:
@@ -402,6 +402,16 @@ def _deform(args, state):
 
 
 def _cmd_preset(args) -> int:
+    from .presets import (
+        DhymSpec,
+        dhym,
+        hessian_type,
+        j_equation,
+        monge_ampere,
+        nonneg_coeff,
+        parse_phase,
+    )
+
     name = args.name
     params = args.params
     extras = {}

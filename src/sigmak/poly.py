@@ -316,15 +316,18 @@ def _count_variations(signs: Sequence[int]) -> int:
     return out
 
 
-def sturm_sequence(p: Poly) -> SturmChain:
-    """Standard Sturm chain built on the squarefree part of ``p``.
+def remainder_sequence(p: Poly) -> SturmChain:
+    """Signed remainder sequence ``p, p', -rem, ...`` of ``p`` itself.
 
+    By Sturm's theorem its variations count the distinct real roots of
+    ``p`` between two points that are not roots of ``p``, squarefree or
+    not, so ``count_all``, which looks only at +-oo, is exact for any ``p``.
     Chain polynomials are rescaled by positive factors to primitive integer
     form, which leaves all sign variations unchanged.
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    q = _primitive(squarefree_part(p))
+    q = _primitive(p)
     if q.degree < 1:
         return SturmChain((q,))
     chain = [q, _primitive(derivative(q))]
@@ -334,6 +337,14 @@ def sturm_sequence(p: Poly) -> SturmChain:
             break
         chain.append(_primitive(-rem))
     return SturmChain(chain)
+
+
+def sturm_sequence(p: Poly) -> SturmChain:
+    """Standard Sturm chain: the remainder sequence of the squarefree part of ``p``.
+
+    On the squarefree part ``count`` is exact at any end points, roots included.
+    """
+    return remainder_sequence(squarefree_part(p))
 
 
 @lru_cache(maxsize=4096)

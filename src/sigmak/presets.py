@@ -4,7 +4,9 @@ Includes the classical product equation, the pure-top-derivative equation,
 single-term Hessian-type equations, the non-negative-coefficient family
 (signed top term allowed), and the arctangent phase equation whose
 coefficients are trigonometric in the phase.  Every constructor is
-cross-checkable against the generic stability certifier.
+cross-checkable against the generic stability certifier.  mpmath is
+imported only by the phase equation and the closed forms that use it, so
+the exact constructors load without it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from .equations import SigmaKPolynomial, StabilityVerdict
 from .errors import (
@@ -131,6 +131,8 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _pi_bounds(dps: int) -> tuple[Fraction, Fraction]:
+    import mpmath
+
     old = mpmath.iv.dps
     try:
         mpmath.iv.dps = dps
@@ -193,6 +195,8 @@ def dhym(spec: DhymSpec) -> DhymResult:
         )
     if r == 0 and (Fraction(n, 2) - q).denominator == 1:
         raise DegeneratePhase("sin(n pi/2 - theta) vanishes at this phase")
+    import mpmath
+
     digits = spec.precision
     scale = 10**digits
     with mpmath.workdps(digits + 30):
@@ -233,6 +237,8 @@ def _largest_cubic_root_bracket(c2: Fraction, c1: Fraction, dps: int):
     a generous error allowance; the bracket is certified afterwards against
     the cubic itself before being trusted.
     """
+    import mpmath
+
     disc = 4 * c2**3 - c1**2
     with mpmath.workdps(dps):
         mc2 = mpmath.mpf(c2.numerator) / c2.denominator

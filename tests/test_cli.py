@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sigmak
 from sigmak.cli import canonical_body, main
 from sigmak.rationals import parse_rational
 
@@ -248,6 +252,40 @@ class TestPreset:
             code, out2, _ = run(capsys, "certify", str(path))
             assert code == 0
             assert json.loads(out2)["verdict"] == "strictly-stable-convex"
+
+
+def run_fresh(*argv):
+    """Run ``python argv`` on this checkout's sigmak, in a process that has imported nothing yet."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sigmak.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestLazyImports:
+    def test_cli_import_set(self):
+        heavy = ["mpmath", "numpy", "sigmak.analysis", "sigmak.presets"]
+        proc = run_fresh(
+            "-c", f"import sys, sigmak.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preset", "dhym", "3", "3/4pi"],
+            ["certify", "{ex11}", "--float"],
+            ["certify", "{ex11}", "--convexity-pairs", "5"],
+            ["alpha", "{ex11}", "--range", "11.7:18", "--samples", "8"],
+            ["deform", "{ex11}", "--samples", "4"],
+        ],
+    )
+    def test_commands_that_import_late(self, tmp_path, argv):
+        ex11 = write_json(tmp_path / "ex11.json", EX11)
+        proc = run_fresh("-m", "sigmak", *(arg.format(ex11=ex11) for arg in argv))
+        assert proc.returncode == 0, proc.stderr
+        json.loads(proc.stdout)
 
 
 class TestReportCommands:

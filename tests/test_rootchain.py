@@ -11,7 +11,7 @@ from sigmak.equations import (
     diagonal_restriction,
 )
 from sigmak.errors import DegreeTooLow, NoRealRoot
-from sigmak.poly import Poly, derivative, evaluate, sturm_chain
+from sigmak.poly import Poly, derivative, evaluate, squarefree_part, sturm_chain
 from sigmak.presets import j_equation
 from sigmak.rationals import sign
 from sigmak.realroots import Order, approx, compare, from_rational, sign_at
@@ -305,6 +305,25 @@ class TestAgainstIsolation:
             assert_matches_isolation(p)
         cert = certify_right(from_roots([-1, 1]))
         assert cert.chain[0].is_rational and cert.chain[0].rational_value == 1
+
+    def test_failure_level_not_squarefree(self):
+        # missing_root counts the roots of p^(k) from its own remainder sequence,
+        # so a repeated real root or complex pair there must not change it
+        double_real = from_roots([-3, -3]) * Poly([5, -4, 1])
+        complex_pair = Poly([16, 6, 1]) * Poly([16, 6, 1])
+        cases = (
+            (double_real, 0, False),
+            # 30 * antiderivative of double_real: p' has the double root -3
+            (Poly([0, 1350, -90, -100, 15, 6]), 1, False),
+            (complex_pair * Poly([11, -6, 1]), 0, True),
+            (Poly([22, 8, 1]) * Poly([22, 8, 1]) * from_roots([-3]) * Poly([18, -8, 1]), 0, False),
+        )
+        for p, level, missing in cases:
+            cert = certify_right(p)
+            assert (cert.failure_level, cert.missing_root) == (level, missing)
+            failing = derivative(p, level)
+            assert squarefree_part(failing).degree < failing.degree
+            assert_matches_isolation(p)
 
     @pytest.mark.parametrize("exponent", [200, -200])
     def test_scaled_coefficients(self, exponent):
