@@ -321,7 +321,7 @@ def deformation(
 def _x_max(cert: ChainCertificate, x_max) -> Fraction:
     """``x_max``, or by default 1.7 times the 6-digit upper bracket of ``x_0``, plus 1."""
     if x_max is None:
-        return bracket(cert.chain[0], 6)[1] * Fraction(17, 10) + 1
+        return cert.x0_bracket[1] * Fraction(17, 10) + 1
     return Fraction(x_max)
 
 

@@ -373,7 +373,7 @@ def _deform(args, state):
     if grid is None:
         m = cert.top_multiplicity or 1
         low = bracket(cert.chain[min(m, len(cert.chain) - 1)], 6)[1]
-        high = bracket(cert.chain[0], 6)[0]
+        high = cert.x0_bracket[0]
         if not high > low:
             raise SigmaKError("degenerate deformation window")
         step = (high - low) / DEFORM_CURVES

@@ -12,12 +12,20 @@ partial restriction is positive at the point and level l+1 holds; level 0
 is the stable component itself, f > 0 together with level 1.  Because each
 restriction is monotone in every coordinate once the level above holds,
 only the subset that drops the l largest coordinates needs checking on the
-fast path.
+fast path.  Level l restricted to that subset is ``sigma_m - sum_{k<m}
+c_{l+k} sigma_k`` at the m = n - l smallest coordinates, so one ascending
+pass over the sorted coordinates serves every level: a running vector of
+symmetric functions gains one coordinate per level, and no restriction is
+built.  The exhaustive scan, asked for or forced by a float value near
+zero, evaluates every subset of a level; subsets that share a prefix of
+indices share its symmetric functions.  Both reproduce, bit for bit, the
+values of ``evaluate`` on the same coordinates in the same order.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from itertools import combinations
 from dataclasses import dataclass
@@ -34,7 +42,7 @@ from .errors import (
 )
 from .poly import Poly
 from .rationals import comb0
-from .realroots import Order, bracket, compare
+from .realroots import Order, compare
 from .rootchain import ChainCertificate, ChainVerdict, certify_right
 
 FLOAT_MARGIN = 1e-9
@@ -72,15 +80,20 @@ def elementary_symmetric(values: Sequence, upto: Optional[int] = None) -> list:
     return e
 
 
+def _restriction_value(e: Sequence, c: Sequence, level: int):
+    """The size-``level`` partial restriction at coordinates with symmetric functions ``e``."""
+    m = len(c) - level
+    value = e[m]
+    for k in range(m):
+        value = value - c[level + k] * e[k]
+    return value
+
+
 def evaluate(f: SigmaKPolynomial, point: Sequence):
     """f at the point: sigma_n minus the weighted lower symmetric functions."""
     if len(point) != f.n:
         raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
-    e = elementary_symmetric(point)
-    acc = e[f.n]
-    for k in range(f.n):
-        acc = acc - f.c[k] * e[k]
-    return acc
+    return _restriction_value(elementary_symmetric(point), f.c, 0)
 
 
 def partial_restriction(f: SigmaKPolynomial, subset) -> SigmaKPolynomial:
@@ -193,6 +206,59 @@ def _is_exact_point(point: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in point)
 
 
+def _empty_sigmas(size: int, exact: bool) -> list:
+    """``e_0..e_size`` of no values, ready for ``_add_value``."""
+    one = Fraction(1) if exact else 1.0
+    return [one] + [one - one] * size
+
+
+def _add_value(e: list, v, top: int) -> None:
+    """One step of ``elementary_symmetric``: fold ``v`` into ``e_1..e_top`` in place."""
+    for j in range(top, 0, -1):
+        e[j] = e[j] + v * e[j - 1]
+
+
+def _shared_ok(product, exact: bool) -> bool:
+    """Whether ``e_0..e_m`` grown from ``_empty_sigmas`` equal ``elementary_symmetric``'s.
+
+    ``product`` is ``e_m``, the product of the m values added.  Exact values
+    always agree.  In float, ``elementary_symmetric`` starts from a zero
+    that carries the sign of that product, and the sign reaches the result
+    only once a product of some of the values, taken in order, is 0, inf or
+    nan; ``product`` is then one too.
+    """
+    return exact or (product != 0 and math.isfinite(product))
+
+
+def _kept_subset_values(coords: list, c: Sequence, level: int, exact: bool) -> list:
+    """Restriction values at every kept subset of ``n - level`` coordinates.
+
+    The subsets come in lexicographic order of their indices.  Subsets that
+    share a prefix of indices share its symmetric functions, and each subset
+    adds its values in ascending index order, as ``evaluate`` does.
+    """
+    m = len(coords) - level
+    out = []
+    path = []
+
+    def extend(e, start, depth):
+        # leave room for the m - depth - 1 indices still to pick
+        for i in range(start, level + depth + 1):
+            grown = e.copy()
+            _add_value(grown, coords[i], depth + 1)
+            path.append(i)
+            if depth + 1 < m:
+                extend(grown, i + 1, depth + 1)
+            else:
+                if not _shared_ok(grown[m], exact):
+                    grown = elementary_symmetric([coords[j] for j in path])
+                out.append(_restriction_value(grown, c, level))
+            path.pop()
+
+    extend(_empty_sigmas(m, exact), 0, 0)
+    return out
+
+
 def cone_membership(
     f: SigmaKPolynomial,
     point: Sequence,
@@ -202,42 +268,54 @@ def cone_membership(
 ) -> MembershipReport:
     """Locate the deepest nested cone containing the point.
 
-    Checks run from the top level down.  On the fast path each level
-    evaluates one restriction, at the coordinates that survive dropping the
-    largest ones; near-zero values in float mode fall back to exhaustive
-    subsets.  ``margin`` widens every strict inequality to ``> margin``
-    (defaults to 0 exactly, 1e-9 in float mode).
+    Checks run from the top level down, in one ascending pass over the
+    sorted coordinates: level ``l`` drops the ``l`` largest ones, so the
+    symmetric functions it needs are those of the ``n - l`` smallest, and
+    one running vector gains one coordinate per level.  Level 0 evaluates
+    f at the point as given.  The exhaustive scan (``exhaustive``, or a
+    float value within ten margins of zero) minimises over every subset,
+    sharing the symmetric functions of common index prefixes.  ``margin``
+    widens every strict inequality to ``> margin`` (defaults to 0 exactly,
+    1e-9 in float mode).
     """
     report = certify_stable(f)
     if not report.is_stable:
         raise NotStableEquation("membership is only defined for stable equations")
-    if len(point) != f.n:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
+    n = f.n
+    if len(point) != n:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {n}")
     exact = _is_exact_point(point)
     if margin is None:
         margin = Fraction(0) if exact else FLOAT_MARGIN
-    coords = [Fraction(v) for v in point] if exact else [float(v) for v in point]
-    order = sorted(range(f.n), key=lambda i: coords[i])
+    if exact:
+        coords = [Fraction(v) for v in point]
+        c = f.c
+    else:
+        # a Fraction times a float is computed as the float of the Fraction times it
+        coords = [float(v) for v in point]
+        c = [float(v) for v in f.c]
+    order = sorted(range(n), key=lambda i: coords[i])
     ascending = [coords[i] for i in order]
+    running = _empty_sigmas(n, exact)
 
     level_values = []
     failing_level = None
     failing_subset = None
-    for level in range(f.n - 1, -1, -1):
+    for level in range(n - 1, -1, -1):
         if level == 0:
             value = evaluate(f, coords)
             worst = ()
         else:
-            g = partial_restriction(f, level)
-            value = evaluate(g, ascending[: f.n - level])
-            worst = tuple(sorted(order[f.n - level :]))
-            use_exhaustive = exhaustive or (
-                not exact and abs(value) <= 10 * float(margin)
-            )
-            if use_exhaustive:
-                for dropped in combinations(range(f.n), level):
-                    kept = [coords[i] for i in range(f.n) if i not in dropped]
-                    v = evaluate(g, kept)
+            m = n - level
+            _add_value(running, ascending[m - 1], m)
+            e = running if _shared_ok(running[m], exact) else elementary_symmetric(ascending[:m])
+            value = _restriction_value(e, c, level)
+            worst = tuple(sorted(order[m:]))
+            if exhaustive or (not exact and abs(value) <= 10 * float(margin)):
+                # dropped sets in lexicographic order are the complements of
+                # the kept sets in reverse lexicographic order
+                kept_values = _kept_subset_values(coords, c, level, exact)
+                for dropped, v in zip(combinations(range(n), level), reversed(kept_values)):
                     if v < value:
                         value = v
                         worst = dropped
@@ -248,7 +326,7 @@ def cone_membership(
             break
     if failing_level is None:
         member = 0
-    elif failing_level == f.n - 1:
+    elif failing_level == n - 1:
         member = None
     else:
         member = failing_level + 1
@@ -326,16 +404,19 @@ def sample_region(
 
     Each point is a diagonal base just above the largest chain root plus a
     nonnegative jitter per coordinate, re-verified through the membership
-    criterion; failed draws are retried within a bounded budget.
+    criterion; failed draws are retried within a bounded budget.  ``mode``
+    is ``"exact"`` for ``Fraction`` points or ``"float"`` for float ones.
     """
     report = certify_stable(f)
     if not report.is_strict:
         raise NotStableEquation("sampling needs a strictly stable equation")
     if count < 0:
         raise ValueError("count must be >= 0")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if count == 0:
         return []
-    x0_hi = bracket(report.certificate.chain[0], 6)[1]
+    x0_hi = report.certificate.x0_bracket[1]
     if spread is None:
         spread = x0_hi + 1
         if spread <= 0:

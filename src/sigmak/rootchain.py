@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -55,6 +56,7 @@ from .realroots import (
     AlgebraicNumber,
     IsolatingInterval,
     _bisect_once,
+    bracket,
     count_real_roots_with_multiplicity,
     from_rational,
     largest_real_root,
@@ -97,6 +99,15 @@ class ChainCertificate:
     @property
     def succeeded(self) -> bool:
         return self.verdict is not ChainVerdict.FAILED
+
+    @cached_property
+    def x0_bracket(self) -> tuple[Fraction, Fraction]:
+        """``bracket(chain[0], 6)``: the 6-digit decimal bracket of the top root.
+
+        Sampling and the default deformation windows start from it; it is
+        computed once per certificate.  Needs a certificate that succeeded.
+        """
+        return bracket(self.chain[0], 6)
 
 
 def _normalize(p: Poly) -> Poly:

@@ -5,17 +5,30 @@ oracle is an exact determinant of the Sylvester matrix by fraction-free
 Bareiss elimination, an algorithm ``sigmak.poly`` does not use.  The exact
 chain oracle certifies the right chain by isolating every real root of
 every derivative with Sturm chains and keeping the largest, where
-``sigmak.rootchain`` runs one monotone sign test per level.  All stay
-deliberately separate from the exact code paths they are used to check.
+``sigmak.rootchain`` runs one monotone sign test per level.  The membership
+oracle builds one partial restriction per level and evaluates it afresh at
+every coordinate subset it checks, where ``sigmak.equations`` shares the
+symmetric functions across levels and subsets.  All stay deliberately
+separate from the exact code paths they are used to check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
+from sigmak.equations import (
+    FLOAT_MARGIN,
+    MembershipReport,
+    SigmaKPolynomial,
+    certify_stable,
+    evaluate,
+    partial_restriction,
+)
+from sigmak.errors import DimensionMismatch, NotStableEquation
 from sigmak.poly import Poly, derivative, sturm_chain
 from sigmak.realroots import from_rational, largest_real_root, sign_at
 from sigmak.rootchain import ChainCertificate, ChainVerdict
@@ -205,4 +218,66 @@ def certify_right_by_isolation(p: Poly) -> ChainCertificate:
         chain=tuple(chain),
         signs=tuple(signs),
         top_multiplicity=chain[0].multiplicity_in_source,
+    )
+
+
+def cone_membership_by_subsets(
+    f: SigmaKPolynomial, point, *, exhaustive: bool = False, margin=None
+) -> MembershipReport:
+    """Nested cone membership with every restriction value computed from scratch.
+
+    Each level builds its partial restriction and evaluates it at the
+    coordinates left after dropping the largest ones; the exhaustive scan
+    (``exhaustive``, or a float value within ten margins of zero) evaluates
+    it again at every subset, in ascending index order.
+    """
+    report = certify_stable(f)
+    if not report.is_stable:
+        raise NotStableEquation("membership is only defined for stable equations")
+    if len(point) != f.n:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
+    exact = all(isinstance(v, (int, Fraction)) for v in point)
+    if margin is None:
+        margin = Fraction(0) if exact else FLOAT_MARGIN
+    coords = [Fraction(v) for v in point] if exact else [float(v) for v in point]
+    order = sorted(range(f.n), key=lambda i: coords[i])
+    ascending = [coords[i] for i in order]
+
+    level_values = []
+    failing_level = None
+    failing_subset = None
+    for level in range(f.n - 1, -1, -1):
+        if level == 0:
+            value = evaluate(f, coords)
+            worst = ()
+        else:
+            g = partial_restriction(f, level)
+            value = evaluate(g, ascending[: f.n - level])
+            worst = tuple(sorted(order[f.n - level :]))
+            use_exhaustive = exhaustive or (
+                not exact and abs(value) <= 10 * float(margin)
+            )
+            if use_exhaustive:
+                for dropped in combinations(range(f.n), level):
+                    kept = [coords[i] for i in range(f.n) if i not in dropped]
+                    v = evaluate(g, kept)
+                    if v < value:
+                        value = v
+                        worst = dropped
+        level_values.append((level, value))
+        if not value > margin:
+            failing_level = level
+            failing_subset = worst
+            break
+    if failing_level is None:
+        member = 0
+    elif failing_level == f.n - 1:
+        member = None
+    else:
+        member = failing_level + 1
+    return MembershipReport(
+        member_level=member,
+        failing_level=failing_level,
+        failing_subset=failing_subset,
+        level_values=tuple(level_values),
     )

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from _oracles import cone_membership_by_subsets
 from sigmak.analysis import midpoint_convexity_test
 from sigmak.equations import (
+    FLOAT_MARGIN,
     SigmaKPolynomial,
     StabilityVerdict,
     certify_stable,
@@ -27,7 +29,8 @@ from sigmak.errors import (
     SamplingExhausted,
 )
 from sigmak.poly import Poly, taylor_shift
-from sigmak.realroots import Order, compare
+from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
+from sigmak.realroots import Order, bracket, compare
 
 EXAMPLE_11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
 EXAMPLE_12 = SigmaKPolynomial(5, (F(-24), F(-2), F(65), F(19), F(0)))
@@ -227,6 +230,85 @@ class TestMembership:
             assert after.member_level <= report.member_level
 
 
+def _membership_corpus():
+    equations = {
+        "EX11": EXAMPLE_11,
+        "EX12": EXAMPLE_12,
+        "monge-ampere": monge_ampere(5, 7),
+        "j-equation": j_equation(4, 2),
+        "hessian": hessian_type(4, 1, 3),
+        "nonneg": nonneg_coeff(4, [1, 2, 3], -5).equation,
+        "n1": SigmaKPolynomial(1, (F(3),)),
+        "n2": MONGE_2,
+    }
+    for n in range(5, 9):
+        lower = [F(k % 3 + 1, 2) for k in range(n - 1)]
+        equations[f"nonneg-{n}"] = nonneg_coeff(n, lower, 1).equation
+    return equations
+
+
+def _membership_points(rng, f, count):
+    """Exact and float points around the top chain root, some with zero,
+    negative or repeated coordinates."""
+    x0 = float(certify_stable(f).certificate.chain[0])
+    scale = 1.0 + abs(x0)
+    points = []
+    for i in range(count):
+        values = [x0 + scale * rng.uniform(-1.5, 1.5) for _ in range(f.n)]
+        shape = i % 5
+        if shape == 1:
+            values[rng.randrange(f.n)] = 0.0
+        elif shape == 2:
+            values[rng.randrange(f.n)] = values[rng.randrange(f.n)]
+        elif shape == 3:
+            values = [-abs(v) for v in values]
+        elif shape == 4 and i % 10 == 4:
+            values = [0.0] * f.n
+        exact = tuple(F(round(v * 8), 8) for v in values)
+        points += [exact, tuple(float(v) for v in exact), tuple(values)]
+    return points
+
+
+class TestMembershipMatchesSubsetOracle:
+    """Whole reports, float values compared by repr, so signed zeros count."""
+
+    @pytest.mark.parametrize("name", sorted(_membership_corpus()))
+    def test_reports_identical(self, name):
+        f = _membership_corpus()[name]
+        rng = random.Random(sum(map(ord, name)))
+        for point in _membership_points(rng, f, 12):
+            for exhaustive in (False, True):
+                for margin in (None, F(1, 100), 1e-3):
+                    got = cone_membership(f, point, exhaustive=exhaustive, margin=margin)
+                    want = cone_membership_by_subsets(
+                        f, point, exhaustive=exhaustive, margin=margin
+                    )
+                    assert got == want
+                    assert repr(got) == repr(want), (point, exhaustive, margin)
+
+    def test_float_near_zero_fallback(self):
+        # the top level is the smallest coordinate, since c_4 = 0: 5e-9 and
+        # 0.0 lie within ten margins of zero, so the level scans every subset
+        for low in (5e-9, 0.0, -0.0):
+            point = (low, 13.0, 14.5, 12.25, 16.0)
+            top = cone_membership(EXAMPLE_11, point).level_values[0][1]
+            assert abs(top) <= 10 * FLOAT_MARGIN
+            for exhaustive in (False, True):
+                got = cone_membership(EXAMPLE_11, point, exhaustive=exhaustive)
+                want = cone_membership_by_subsets(EXAMPLE_11, point, exhaustive=exhaustive)
+                assert repr(got) == repr(want)
+
+    def test_signed_zero_matches(self):
+        # a zero coordinate makes the running products 0 with a sign that
+        # depends on the subset; the values keep the per-subset sign
+        f = SigmaKPolynomial(3, (F(1), F(0), F(0)))
+        for point in ((0.0, -0.0, 3.0), (0.0, 3.0, -0.0), (-1.0, 0.0, 5.0), (0.0, -0.0, -0.0)):
+            for exhaustive in (False, True):
+                got = cone_membership(f, point, exhaustive=exhaustive, margin=-1.0)
+                want = cone_membership_by_subsets(f, point, exhaustive=exhaustive, margin=-1.0)
+                assert repr(got) == repr(want)
+
+
 class TestDominance:
     def test_example_pair(self):
         result = dominates(EXAMPLE_12, EXAMPLE_11)
@@ -312,6 +394,18 @@ class TestSampling:
     def test_exhausted_budget(self):
         with pytest.raises(SamplingExhausted):
             sample_region(EXAMPLE_11, 3, 0, retry_factor=0)
+
+    @pytest.mark.parametrize("mode", ["Float", "EXACT", "numeric", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError):
+            sample_region(EXAMPLE_11, 4, 0, mode=mode)
+        with pytest.raises(ValueError):
+            midpoint_convexity_test(EXAMPLE_11, 2, 0, mode=mode)
+
+    def test_top_root_bracket_cached_on_certificate(self):
+        cert = certify_stable(EXAMPLE_11).certificate
+        assert cert.x0_bracket == bracket(cert.chain[0], 6)
+        assert cert.x0_bracket is cert.x0_bracket
 
     def test_float_mode_points(self):
         points = sample_region(EXAMPLE_11, 4, 3, mode="float")
