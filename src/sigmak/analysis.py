@@ -184,16 +184,15 @@ def monotonicity_scan(
     samples: int = 512,
     *,
     span=Fraction(1000),
-    eps=None,
     tolerance=Fraction(1, 10**9),
     certificate: Optional[ChainCertificate] = None,
 ) -> MonotonicityReport:
     """Sampled check that the ratio increases on ``(x_1 + eps, x_1 + span]``.
 
-    The grid mixes geometric offsets accumulating at ``x_1`` with a uniform
-    sweep; values are computed exactly at rational grid points.  Endpoint
-    behaviour: for a strict chain the ratio starts far below zero, otherwise
-    it starts near ``1 - 1/m`` for the top multiplicity m.
+    ``eps = 1e-9 (1 + |x_1|)``.  The grid mixes geometric offsets accumulating
+    at ``x_1`` with a uniform sweep; values are exact at rational grid points.
+    Endpoint behaviour: for a strict chain the ratio starts far below zero,
+    otherwise it starts near ``1 - 1/m`` for the top multiplicity m.
     """
     cert = certificate if certificate is not None else certify_right(p)
     if not cert.succeeded:
@@ -205,9 +204,7 @@ def monotonicity_scan(
         raise ValueError("need at least 2 samples")
     base = bracket(cert.chain[1], 12)[1]
     span = Fraction(span)
-    if eps is None:
-        eps = Fraction(1, 10**9) * (1 + abs(base))
-    eps = Fraction(eps)
+    eps = Fraction(1, 10**9) * (1 + abs(base))
 
     offsets = set()
     geo = span / 2
@@ -279,13 +276,9 @@ class DeformationState:
     poly: Poly
 
 
-def _check_window(y: Fraction, lower, upper, slack: Fraction):
-    below = compare(from_rational(y + slack), lower)
-    above = compare(from_rational(y - slack), upper)
-    if below is Order.LESS or above is Order.GREATER:
-        raise OutOfDeformationRange(
-            f"deformation parameter {y} outside the admissible root window"
-        )
+_WINDOW_SLACK = Fraction(1, 10**9)
+# the descent check samples x only this far above the larger parameter
+_DESCENT_X_MARGIN = Fraction(1, 100)
 
 
 def deformation(
@@ -293,13 +286,12 @@ def deformation(
     y,
     *,
     certificate: Optional[ChainCertificate] = None,
-    slack=Fraction(1, 10**9),
 ) -> DeformationState:
     """Drop the Taylor terms below the top multiplicity at ``y``.
 
     ``y`` must lie between the largest root of ``p^(m)`` and the largest
     root of ``p`` (rational approximants of either endpoint are accepted
-    within ``slack``); the result keeps ``y`` as its largest real root with
+    within ``1e-9``); the result keeps ``y`` as its largest real root with
     the same multiplicity, degenerating one order higher at the lower end.
     """
     cert = certificate if certificate is not None else certify_right(p)
@@ -310,7 +302,12 @@ def deformation(
     if m >= n:
         raise OutOfDeformationRange("top root already has full multiplicity")
     y = Fraction(y)
-    _check_window(y, cert.chain[m], cert.chain[0], Fraction(slack))
+    below = compare(from_rational(y + _WINDOW_SLACK), cert.chain[m])
+    above = compare(from_rational(y - _WINDOW_SLACK), cert.chain[0])
+    if below is Order.LESS or above is Order.GREATER:
+        raise OutOfDeformationRange(
+            f"deformation parameter {y} outside the admissible root window"
+        )
     shifted = list(taylor_shift(cert.polynomial, y).coeffs)
     for k in range(min(m, len(shifted))):
         shifted[k] = Fraction(0)
@@ -339,7 +336,6 @@ def deformation_alpha_descent(
     *,
     x_count: int = 200,
     x_max=None,
-    x_margin=Fraction(1, 100),
     certificate: Optional[ChainCertificate] = None,
 ) -> DescentReport:
     """Verify the ratio strictly drops as the deformation parameter grows.
@@ -356,13 +352,12 @@ def deformation_alpha_descent(
     if len(ys) < 2:
         return DescentReport(len(ys), 0, None, True)
     x_max = _x_max(cert, x_max)
-    x_margin = Fraction(x_margin)
     min_margin = None
     comparisons = 0
     for (y_a, state_a), (y_b, state_b) in zip(
         zip(ys, states), zip(ys[1:], states[1:])
     ):
-        lo = y_b + x_margin
+        lo = y_b + _DESCENT_X_MARGIN
         if lo >= x_max:
             continue
         for i in range(1, x_count + 1):

@@ -415,6 +415,8 @@ def _cmd_preset(args) -> int:
     name = args.name
     params = args.params
     extras = {}
+    if not 0 <= args.precision <= MAX_DIGITS:
+        raise UsageError(f"--precision must be between 0 and {MAX_DIGITS}")
     try:
         if name == "monge-ampere":
             equation = monge_ampere(int(params[0]), parse_rational(params[1]))

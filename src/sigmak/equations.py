@@ -396,7 +396,6 @@ def sample_region(
     count: int,
     seed: int,
     *,
-    spread=None,
     mode: str = "exact",
     retry_factor: int = 40,
 ) -> list[tuple]:
@@ -417,11 +416,7 @@ def sample_region(
     if count == 0:
         return []
     x0_hi = report.certificate.x0_bracket[1]
-    if spread is None:
-        spread = x0_hi + 1
-        if spread <= 0:
-            spread = Fraction(1)
-    spread = Fraction(spread)
+    spread = x0_hi + 1 if x0_hi + 1 > 0 else Fraction(1)
     rng = random.Random(seed)
     out: list[tuple] = []
     budget = retry_factor * count + retry_factor

@@ -25,9 +25,9 @@ from .errors import (
     PhaseOutOfRange,
     TopCoefficientNotZero,
 )
-from .poly import Poly, cauchy_root_bound, poly_gcd, resultant, sturm_chain
+from .poly import Poly
 from .rationals import parse_rational, sign
-from .realroots import isolate_real_roots, sign_at
+from .realroots import _shares_root
 
 
 def monge_ampere(n: int, c0) -> SigmaKPolynomial:
@@ -124,10 +124,6 @@ def _raw_mpf_to_fraction(raw) -> Fraction:
     sign_bit, mantissa, exponent, _ = raw
     value = Fraction(mantissa) * Fraction(2) ** exponent
     return -value if sign_bit else value
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    return _raw_mpf_to_fraction(x._mpf_)
 
 
 def _pi_bounds(dps: int) -> tuple[Fraction, Fraction]:
@@ -250,9 +246,12 @@ def _largest_cubic_root_bracket(c2: Fraction, c1: Fraction, dps: int):
         else:
             argument = max(mpmath.mpf(1), argument)
             root = 2 * mpmath.sqrt(mc2) * mpmath.cosh(mpmath.acosh(argument) / 3)
-        pad = mpmath.mpf(10) ** (10 - dps) * (1 + abs(root))
-        lo = _mpf_to_fraction(root - pad)
-        hi = _mpf_to_fraction(root + pad)
+        # a rounding error in the coefficients moves the root by about that
+        # error over cubic'(root), which vanishes at a double root
+        slope = max(3 * abs(root**2 - mc2), mpmath.mpf(10) ** -dps)
+        pad = mpmath.mpf(10) ** (10 - dps) * (1 + abs(root)) * max(1, (1 + abs(root)) ** 2 / slope)
+        lo = _raw_mpf_to_fraction((root - pad)._mpf_)
+        hi = _raw_mpf_to_fraction((root + pad)._mpf_)
     return lo, hi
 
 
@@ -265,7 +264,8 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
     taken from its trigonometric/hyperbolic branch formula.  Irrational
     comparisons are settled by exact sign tests on squared or cubed forms
     where possible, otherwise by high-precision evaluation with outward
-    rounding and an exact resultant tie-break on the boundary.
+    rounding, a bracket of ``x1`` certified against the cubic, and on the
+    boundary the gcd of the criterion and the cubic changing sign on it.
     """
     n = f.n
     if n not in (2, 3, 4):
@@ -292,26 +292,20 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
         return _verdict_from_sign(sign(27 * c1**4 - (-c0) ** 3))
     cubic = Poly([-c1, -3 * c2, Fraction(0), Fraction(1)])
     boundary = Poly([c0, 3 * c1, 3 * c2])
-    chain = sturm_chain(cubic)
-    upper = cauchy_root_bound(cubic)
+    if c1 < 0 and c1**2 == 4 * c2**3:
+        # x1 = sqrt(c2) is a double root of the cubic, the rational -c1/(2 c2)
+        return _verdict_from_sign(sign(boundary(-c1 / (2 * c2))))
     dps = 40
     while dps <= 2560:
         lo, hi = _largest_cubic_root_bracket(c2, c1, dps)
-        certified = (
-            lo < hi < upper
-            and chain.count(lo, hi) >= 1
-            and chain.count(hi, upper) == 0
-        )
-        if certified:
+        # convex above 0 and rising at lo (lo^2 > c2): x1 is its one root above lo
+        if 0 < lo < hi and lo**2 > c2 and cubic(lo) < 0 < cubic(hi):
             vlo, vhi = boundary.eval_interval(lo, hi)
             if vlo > 0:
                 return StabilityVerdict.STRICTLY_STABLE
             if vhi < 0:
                 return StabilityVerdict.NOT_STABLE
-            if resultant(cubic, boundary) == 0:
-                shared = poly_gcd(cubic, boundary)
-                top_root = isolate_real_roots(cubic)[-1]
-                if sign_at(shared, top_root) == 0:
-                    return StabilityVerdict.STABLE
+            if _shares_root(boundary, cubic, lo, hi):
+                return StabilityVerdict.STABLE
         dps *= 2
     raise ArithmeticError("could not separate the criterion value from zero")

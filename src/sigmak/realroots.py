@@ -2,10 +2,12 @@
 
 A real algebraic number is a defining polynomial together with a rational
 isolating interval containing exactly one of its roots, a simple one.
-Every query below (sign of a polynomial at the number, comparison of two
-numbers, decimal approximation) is decided exactly: bisection refines the
-interval, Sturm counts certify containment, and gcd computations settle
-coincidences.
+Every query below is decided exactly.  The decision paths (``compare``,
+the chain certifier, the degree-4 closed form) bisect by sign and settle a
+tie with one zero test, ``_shares_root``; a rational is compared by one
+evaluation.  ``isolate_real_roots``, ``sign_at`` and
+``count_real_roots_with_multiplicity`` are the Sturm-based general API and
+the tests' independent reference.
 
 ``bracket`` is the only way a root becomes a rational: the decimal grid
 points next to it, which depend on the number alone and never on how far
@@ -128,6 +130,18 @@ def from_rational(value, multiplicity: int = 1) -> AlgebraicNumber:
     return AlgebraicNumber(
         Poly([-value, 1]), IsolatingInterval(value, value), multiplicity
     )
+
+
+def _shares_root(p: Poly, defining: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """True iff ``p`` vanishes at the root of ``defining`` in ``[lo, hi]``.
+
+    Needs ``defining`` to have at most one root there, a simple one, and
+    ``p`` or ``defining`` nonzero at each end.  ``g = gcd(p, defining)`` then
+    has at most that root there and is nonzero at both ends, so it changes
+    sign on ``[lo, hi]`` exactly when it has that root.
+    """
+    g = poly_gcd(p, defining)
+    return sign(evaluate(g, lo)) != sign(evaluate(g, hi))
 
 
 def _bisect_once(q: Poly, lo: Fraction, hi: Fraction, sign_lo: int):
@@ -268,11 +282,13 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
         a, b = alpha.rational_value, beta.rational_value
         return Order.LESS if a < b else Order.GREATER if a > b else Order.EQUAL
     if alpha.is_rational:
-        inverse = compare(beta, alpha)
-        return Order(-inverse.value)
+        return Order(-compare(beta, alpha).value)
     if beta.is_rational:
-        s = sign_at(Poly([-beta.rational_value, 1]), alpha)
-        return Order(s)
+        # on alpha's interval its defining polynomial has the sign at lo just below alpha
+        r = beta.rational_value
+        if not alpha.interval.contains(r):
+            return Order.GREATER if r < alpha.interval.lo else Order.LESS
+        return Order(sign(evaluate(alpha.defining, r)) * alpha._sign_lo)
 
     a_lo, a_hi = alpha.interval.lo, alpha.interval.hi
     b_lo, b_hi = beta.interval.lo, beta.interval.hi
@@ -281,11 +297,9 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
     if b_hi < a_lo:
         return Order.GREATER
 
-    g = poly_gcd(alpha.defining, beta.defining)
-    if g.degree >= 1:
-        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-        if lo <= hi and sturm_chain(g).count(lo, hi) >= 1:
-            return Order.EQUAL
+    # the overlap's ends are interval ends, where a defining polynomial is nonzero
+    if _shares_root(alpha.defining, beta.defining, max(a_lo, b_lo), min(a_hi, b_hi)):
+        return Order.EQUAL
     sa, sb = alpha._sign_lo, beta._sign_lo
     qa, qb = alpha.defining, beta.defining
     while True:
@@ -309,6 +323,8 @@ def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
     bisection cuts only at grid points inside the interval, and a grid point
     where the defining polynomial vanishes is the number itself.
     """
+    if digits < 0:
+        raise ValueError("digits must be a non-negative integer")
     scale = 10**digits
     if alpha.is_rational:
         value = alpha.rational_value * scale

@@ -50,12 +50,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DegreeTooLow, NoRealRoot, ZeroPolynomial
-from .poly import Poly, derivative, evaluate, poly_gcd, remainder_sequence
+from .poly import Poly, derivative, evaluate, remainder_sequence
 from .rationals import sign
 from .realroots import (
     AlgebraicNumber,
     IsolatingInterval,
     _bisect_once,
+    _shares_root,
     bracket,
     count_real_roots_with_multiplicity,
     from_rational,
@@ -137,13 +138,9 @@ def _sign_at_increasing(
         if q_hi - evaluate(dq, hi) * (hi - lo) > 0:
             s = 1
             break
-        if steps == _STEPS_BEFORE_ZERO_TEST:
-            # g divides defining, so alpha is the only root g can have in
-            # [lo, hi], a simple one, and g changes sign there iff it has it
-            g = poly_gcd(q, defining)
-            if sign(evaluate(g, lo)) != sign(evaluate(g, hi)):
-                s = 0
-                break
+        if steps == _STEPS_BEFORE_ZERO_TEST and _shares_root(q, defining, lo, hi):
+            s = 0
+            break
         lo, hi, s_lo = _bisect_once(defining, lo, hi, s_lo)
         steps += 1
     else:

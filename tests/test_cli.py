@@ -376,6 +376,8 @@ class TestMalformedInput:
             ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "2.25:5:101", "--samples", "100"],
             ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "3,3.5,4", "--samples", "3334"],
             ["deform", "--poly", "1275,-260,-24,0,1", "--samples", "834"],
+            ["preset", "dhym", "3", "3/4pi", "--precision", "-1"],
+            ["preset", "dhym", "3", "3/4pi", "--precision", "101"],
         ],
         ids=[
             "digits",
@@ -385,6 +387,8 @@ class TestMalformedInput:
             "deform-range-grid-product",
             "deform-list-grid-product",
             "deform-default-grid-product",
+            "precision-negative",
+            "precision-too-large",
         ],
     )
     def test_size_caps(self, tmp_path, capsys, argv):

@@ -269,6 +269,16 @@ class TestClosedForm:
             f = SigmaKPolynomial(4, (c0_near + delta, F(1), F(2), F(0)))
             assert closed_form_criterion(f) is certify_stable(f).verdict
 
+    def test_near_double_root_of_the_cubic(self):
+        # c1 = -2 + 10^-e splits the cubic's double root at 1 by about
+        # 10^(-e/2); the branch formula loses about e/2 digits there
+        for e in (25, 60, 300):
+            for c0 in (F(5), F(3), F(3) + F(1, 10 ** (e // 2 + 5))):
+                f = SigmaKPolynomial(4, (c0, F(-2) + F(1, 10**e), F(1), F(0)))
+                assert closed_form_criterion(f) is StabilityVerdict.STRICTLY_STABLE
+                if e < 100:
+                    assert certify_stable(f).verdict is StabilityVerdict.STRICTLY_STABLE
+
     def test_translate_then_closed_form(self):
         rng = random.Random(66)
         for _ in range(25):

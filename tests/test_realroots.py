@@ -3,9 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
+from sigmak.analysis import deformation
+from sigmak.equations import SigmaKPolynomial, StabilityVerdict, certify_stable, dominates
 from sigmak.errors import ZeroPolynomial
-from sigmak.poly import Poly, derivative, resultant
+from sigmak.poly import Poly, SturmChain, derivative, resultant
+from sigmak.presets import (
+    DhymSpec,
+    closed_form_criterion,
+    dhym,
+    hessian_type,
+    j_equation,
+    monge_ampere,
+    nonneg_coeff,
+)
 from sigmak.realroots import (
+    AlgebraicNumber,
+    IsolatingInterval,
     Order,
     approx,
     bracket,
@@ -17,12 +30,15 @@ from sigmak.realroots import (
     rounded,
     sign_at,
 )
+from sigmak.rootchain import _root_above
 
 from _oracles import distinct_real_roots
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 EX21_QUINTIC = Poly([24, 10, -650, -190, 0, 1])
 FIG2_QUARTIC = Poly([1275, -260, -24, 0, 1])
+EX11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
+EX12 = SigmaKPolynomial(5, (F(-24), F(-2), F(65), F(19), F(0)))
 
 
 def random_int_poly(rng, max_degree=8, span=9):
@@ -196,6 +212,105 @@ class TestCompare:
                     assert abs(fa - fb) < 1e-9
 
 
+class TestCompareWithRational:
+    """``compare`` against a rational agrees with the Sturm-based ``sign_at``."""
+
+    @staticmethod
+    def _check(alpha, r):
+        want = Order(sign_at(Poly([-r, 1]), alpha))
+        assert compare(alpha, from_rational(r)) is want
+        assert compare(from_rational(r), alpha) is Order(-want.value)
+
+    def test_agrees_with_sign_at(self):
+        rng = random.Random(81)
+        numbers = []
+        for _ in range(15):
+            roots = isolate_real_roots(random_int_poly(rng, max_degree=5))
+            numbers += [a for a in roots if not a.is_rational]
+        for alpha in numbers:
+            lo, hi = alpha.interval.lo, alpha.interval.hi
+            inside = lo + (hi - lo) * F(rng.randint(1, 999), 1000)
+            for r in (lo, hi, alpha.interval.midpoint(), inside, lo - 1, hi + 1):
+                self._check(alpha, r)
+
+    def test_rational_root_in_a_wide_interval(self):
+        # x - r times a positive quadratic increases everywhere; starting
+        # 1/3 off an integer step keeps _root_above from landing on r
+        rng = random.Random(82)
+        for _ in range(20):
+            r = F(rng.randint(-40, 40), rng.randint(1, 9))
+            q = Poly([-r, 1]) * Poly([r**2 + rng.randint(1, 5), 0, 1])
+            alpha = _root_above(q, r - rng.randint(0, 7) - F(1, 3))
+            assert not alpha.is_rational and alpha.interval.lo < r < alpha.interval.hi
+            assert compare(alpha, from_rational(r)) is Order.EQUAL
+            for x in (r, alpha.interval.lo, alpha.interval.hi, r - F(1, 10**9), r + F(1, 10**9)):
+                self._check(alpha, x)
+
+    def test_intervals_meeting_in_one_point(self):
+        s2 = AlgebraicNumber(Poly([-2, 0, 1]), IsolatingInterval(F(1), F(3, 2)))
+        s3 = AlgebraicNumber(Poly([-3, 0, 1]), IsolatingInterval(F(3, 2), F(2)))
+        assert compare(s2, s3) is Order.LESS
+        assert compare(s3, s2) is Order.GREATER
+        # 1/2 sits strictly inside [0, 1] and is the lower end of the other interval
+        half = AlgebraicNumber(Poly([F(-1, 2), 1]) * Poly([-3, 1]), IsolatingInterval(F(0), F(1)))
+        wide = AlgebraicNumber(Poly([-2, 0, 1]), IsolatingInterval(F(1, 2), F(2)))
+        assert compare(half, wide) is Order.LESS
+        assert compare(wide, half) is Order.GREATER
+        other = AlgebraicNumber(Poly([-4, 0, 2]), IsolatingInterval(F(5, 4), F(2)))
+        assert compare(s2, other) is Order.EQUAL
+
+
+class TestOneZeroTest:
+    """The exact decision paths settle ties without a Sturm interval count."""
+
+    def test_decision_paths_need_no_sturm_count(self, monkeypatch):
+        # isolation is the Sturm-based reference, so its numbers are built first
+        a = largest_real_root(Poly([-19, 0, 1]))
+        b = largest_real_root(Poly([-1140, 0, 60]))
+        half = _root_above(Poly([F(-1, 2), 1]) * Poly([1, 0, 1]), F(-1, 3))
+        equations = [
+            EX11,
+            EX12,
+            monge_ampere(4, 3),
+            j_equation(3, 2),
+            hessian_type(5, 1, 2),
+            nonneg_coeff(4, [1, 0, 2], 1).equation,
+            dhym(DhymSpec(3, F(3, 4))).equation,
+        ]
+        verdicts = [certify_stable(f).verdict for f in equations]
+        x1 = largest_real_root(Poly([-1, -6, 0, 1]))
+        near = -6 * F(approx(x1, 60)) ** 2 - 3 * F(approx(x1, 60))
+
+        def no_count(self, lo, hi):
+            raise AssertionError("Sturm interval count on a decision path")
+
+        monkeypatch.setattr(SturmChain, "count", no_count)
+        certify_stable.cache_clear()
+        try:
+            assert [certify_stable(f).verdict for f in equations] == verdicts
+            tied = dominates(EX12, EX11)
+            assert tied.dominates and tied.comparisons[3] is Order.EQUAL
+            assert compare(a, b) is Order.EQUAL
+            assert compare(a, from_rational(F(436, 100))) is Order.LESS
+            assert compare(from_rational(F(435, 100)), a) is Order.LESS
+            assert compare(half, from_rational(F(1, 2))) is Order.EQUAL
+            # degree 4: the double root x1 = 1 and offsets from its boundary,
+            # a simple rational x1 = 2 on the boundary, and an irrational x1
+            # within 1e-45 of its boundary, past the first bracket's 40 digits
+            for c0 in (F(3), F(3) + F(1, 10**15), F(3) - F(1, 10**15)):
+                f = SigmaKPolynomial(4, (c0, F(-2), F(1), F(0)))
+                assert closed_form_criterion(f) is certify_stable(f).verdict
+            f = SigmaKPolynomial(4, (F(-24), F(2), F(1), F(0)))
+            assert closed_form_criterion(f) is StabilityVerdict.STABLE
+            assert certify_stable(f).verdict is StabilityVerdict.STABLE
+            for c0 in (near - F(1, 10**45), near, near + F(1, 10**45)):
+                f = SigmaKPolynomial(4, (c0, F(1), F(2), F(0)))
+                assert closed_form_criterion(f) is certify_stable(f).verdict
+            assert deformation(FIG2_QUARTIC, F(3)).multiplicity == 2
+        finally:
+            certify_stable.cache_clear()
+
+
 class TestApprox:
     def test_reference_quintic_top_roots(self):
         assert approx(largest_real_root(FIG1_QUINTIC), 3) == "11.632"
@@ -228,6 +343,15 @@ class TestApprox:
         positive = roots[-1]
         assert approx(positive, 3) == "0.000"
         assert approx(positive, 4) == "0.0005"
+
+    def test_bracket_digits(self):
+        root = largest_real_root(Poly([-2, 0, 1]))
+        assert bracket(root, 0) == (1, 2)
+        assert bracket(from_rational(F(7, 2)), 0) == (3, 4)
+        assert bracket(from_rational(3), 0) == (3, 3)
+        for alpha in (root, from_rational(F(7, 2))):
+            with pytest.raises(ValueError):
+                bracket(alpha, -1)
 
     def test_rounded_from_deeper_bracket(self):
         # ties at the next digit, just above and below them, and irrational roots
