@@ -79,3 +79,11 @@ class PhaseOutOfRange(SigmaKError):
 
 class DegeneratePhase(SigmaKError):
     """The phase makes the top coefficient of the phase equation vanish."""
+
+
+class PrecisionOutOfRange(SigmaKError):
+    """A requested number of decimal digits is not a non-negative integer."""
+
+
+class RootBracketNotCertified(SigmaKError):
+    """A high-precision root bracket failed its exact check at every precision tried."""

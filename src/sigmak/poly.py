@@ -3,7 +3,8 @@
 Dense polynomials over the rationals with everything the certificate path
 needs: arithmetic, derivatives, Taylor shifts, gcd and squarefree machinery,
 Sturm chains, resultants and discriminants.  All arithmetic is exact; no
-operation in this module ever rounds.
+operation in this module ever rounds.  Gcds, remainder sequences and
+resultants run on integer forms, positive multiples of the rational ones.
 
 Coefficients are stored ascending, ``coeffs[k]`` multiplying ``x**k``.  The
 zero polynomial has an empty coefficient tuple and degree ``-inf``.
@@ -144,9 +145,6 @@ class Poly:
                 rem[i - d + j] -= q * other.coeffs[j]
         return Poly(quot), Poly(rem)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
 
@@ -201,15 +199,12 @@ def taylor_shift(p: Poly, a) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid with monic remainders)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-        if not a.is_zero and a.degree >= 1:
-            a = a.monic()
-    if a.is_zero:
-        return a
-    return a.monic() if a.degree >= 1 else Poly([1])
+    """Monic gcd over the rationals: the last element of ``_remainder_chain``, made monic."""
+    ints = [_primitive_ints(f) for f in (p, q) if not f.is_zero]
+    if not ints:
+        return Poly()
+    last = _remainder_chain(*ints)[-1] if len(ints) == 2 else ints[0]
+    return Poly(last).monic() if len(last) > 1 else Poly([1])
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -253,13 +248,11 @@ def _clear_denominators(p: Poly) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
-def _primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if p.is_zero:
-        return p
+def _primitive_ints(p: Poly) -> list[int]:
+    """Coefficients of ``p`` scaled by a positive rational to coprime integers."""
     ints, _ = _clear_denominators(p)
     g = math.gcd(*ints)
-    return Poly([v // g for v in ints])
+    return [v // g for v in ints]
 
 
 class SturmChain:
@@ -316,6 +309,17 @@ def _count_variations(signs: Sequence[int]) -> int:
     return out
 
 
+def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """``a, b`` and the negated remainders after them as primitive integer lists."""
+    chain = [a, b]
+    while r := _prem(a, b):
+        # -r over its content, negated back where lc(b)^(deg a - deg b + 1) < 0
+        g = math.gcd(*r) * (-1 if b[-1] > 0 or (len(a) - len(b)) % 2 else 1)
+        a, b = b, [v // g for v in r]
+        chain.append(b)
+    return chain
+
+
 def remainder_sequence(p: Poly) -> SturmChain:
     """Signed remainder sequence ``p, p', -rem, ...`` of ``p`` itself.
 
@@ -323,34 +327,26 @@ def remainder_sequence(p: Poly) -> SturmChain:
     ``p`` between two points that are not roots of ``p``, squarefree or
     not, so ``count_all``, which looks only at +-oo, is exact for any ``p``.
     Chain polynomials are rescaled by positive factors to primitive integer
-    form, which leaves all sign variations unchanged.
+    form, which leaves all sign variations unchanged.  They are built on
+    integers: ``prem(a, b)`` is ``lc(b)^(deg a - deg b + 1)`` times the
+    rational remainder, and is negated when that factor is negative.
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    q = _primitive(p)
-    if q.degree < 1:
-        return SturmChain((q,))
-    chain = [q, _primitive(derivative(q))]
-    while True:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero:
-            break
-        chain.append(_primitive(-rem))
-    return SturmChain(chain)
-
-
-def sturm_sequence(p: Poly) -> SturmChain:
-    """Standard Sturm chain: the remainder sequence of the squarefree part of ``p``.
-
-    On the squarefree part ``count`` is exact at any end points, roots included.
-    """
-    return remainder_sequence(squarefree_part(p))
+    q = _primitive_ints(p)
+    if len(q) < 2:
+        return SturmChain((Poly(q),))
+    return SturmChain(map(Poly, _remainder_chain(q, _primitive_ints(derivative(p)))))
 
 
 @lru_cache(maxsize=4096)
 def sturm_chain(p: Poly) -> SturmChain:
-    """``sturm_sequence``, cached for polynomials whose roots are queried again."""
-    return sturm_sequence(p)
+    """Standard Sturm chain: the remainder sequence of the squarefree part of ``p``.
+
+    On the squarefree part ``count`` is exact at any end points, roots
+    included.  Cached for polynomials whose roots are queried again.
+    """
+    return remainder_sequence(squarefree_part(p))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:

@@ -23,11 +23,13 @@ from .errors import (
     HypothesisViolated,
     NonPositiveConstant,
     PhaseOutOfRange,
+    PrecisionOutOfRange,
+    RootBracketNotCertified,
     TopCoefficientNotZero,
 )
-from .poly import Poly
+from .poly import Poly, taylor_shift
 from .rationals import parse_rational, sign
-from .realroots import _shares_root
+from .realroots import _bisect_once, _shares_root
 
 
 def monge_ampere(n: int, c0) -> SigmaKPolynomial:
@@ -172,6 +174,9 @@ def dhym(spec: DhymSpec) -> DhymResult:
     n = spec.n
     if n < 1:
         raise DegreeOutOfRange("degree must be >= 1")
+    digits = spec.precision
+    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 0:
+        raise PrecisionOutOfRange("precision must be a non-negative integer")
     q, r = Fraction(spec.pi_mult), Fraction(spec.offset)
     in_branch = (
         sign_of_pi_combination(q - Fraction(n - 2, 2), r) > 0
@@ -193,7 +198,6 @@ def dhym(spec: DhymSpec) -> DhymResult:
         raise DegeneratePhase("sin(n pi/2 - theta) vanishes at this phase")
     import mpmath
 
-    digits = spec.precision
     scale = 10**digits
     with mpmath.workdps(digits + 30):
         theta = mpmath.pi * q.numerator / q.denominator + mpmath.mpf(r.numerator) / r.denominator
@@ -264,8 +268,8 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
     taken from its trigonometric/hyperbolic branch formula.  Irrational
     comparisons are settled by exact sign tests on squared or cubed forms
     where possible, otherwise by high-precision evaluation with outward
-    rounding, a bracket of ``x1`` certified against the cubic, and on the
-    boundary the gcd of the criterion and the cubic changing sign on it.
+    rounding, a bracket of ``x1`` certified against the cubic, the gcd of
+    the criterion and the cubic changing sign on it, else bisection of it.
     """
     n = f.n
     if n not in (2, 3, 4):
@@ -300,12 +304,15 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
         lo, hi = _largest_cubic_root_bracket(c2, c1, dps)
         # convex above 0 and rising at lo (lo^2 > c2): x1 is its one root above lo
         if 0 < lo < hi and lo**2 > c2 and cubic(lo) < 0 < cubic(hi):
-            vlo, vhi = boundary.eval_interval(lo, hi)
-            if vlo > 0:
-                return StabilityVerdict.STRICTLY_STABLE
-            if vhi < 0:
-                return StabilityVerdict.NOT_STABLE
             if _shares_root(boundary, cubic, lo, hi):
                 return StabilityVerdict.STABLE
+            # boundary(x1) != 0: bisect until its enclosure about the midpoint has one sign
+            while lo < hi:
+                rad = (hi - lo) / 2
+                vlo, vhi = taylor_shift(boundary, lo + rad).eval_interval(-rad, rad)
+                if vlo > 0 or vhi < 0:
+                    return _verdict_from_sign(1 if vlo > 0 else -1)
+                lo, hi, _ = _bisect_once(cubic, lo, hi, -1)
+            return _verdict_from_sign(sign(boundary(lo)))
         dps *= 2
-    raise ArithmeticError("could not separate the criterion value from zero")
+    raise RootBracketNotCertified("could not certify a bracket of the cubic's largest root")

@@ -12,7 +12,8 @@ the tests' independent reference.
 ``bracket`` is the only way a root becomes a rational: the decimal grid
 points next to it, which depend on the number alone and never on how far
 isolation or bisection happened to go.  ``approx``, report intervals and the
-seeded base points of sampling and scans are all taken from it.
+seeded base points of sampling and scans are all taken from it.  Its probes
+are integer Horner values, positive multiples of the defining polynomial's.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import cached_property
 from .errors import ZeroPolynomial
 from .poly import (
     Poly,
+    _primitive_ints,
     cauchy_root_bound,
     evaluate,
     poly_gcd,
@@ -322,6 +324,9 @@ def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
     result depends on the number alone, not on its isolating interval:
     bisection cuts only at grid points inside the interval, and a grid point
     where the defining polynomial vanishes is the number itself.
+
+    With ``m * q = sum a_i x^i`` integral, ``m > 0``, each probe is the integer
+    ``sum a_i 10**(digits * (deg - i)) k^i = 10**(digits * deg) * m * q(k / 10**digits)``.
     """
     if digits < 0:
         raise ValueError("digits must be a non-negative integer")
@@ -332,9 +337,13 @@ def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
     # the root lies strictly inside the interval; grid points a..b lie there too
     a = math.floor(alpha.interval.lo * scale) + 1
     b = math.ceil(alpha.interval.hi * scale) - 1
+    scaled = [c * scale**i for i, c in enumerate(reversed(_primitive_ints(alpha.defining)))]
     while a <= b:
         k = (a + b) // 2
-        s = sign(evaluate(alpha.defining, Fraction(k, scale)))
+        acc = 0
+        for c in scaled:
+            acc = acc * k + c
+        s = sign(acc)
         if s == 0:
             return Fraction(k, scale), Fraction(k, scale)
         if s == alpha._sign_lo:

@@ -8,8 +8,11 @@ every derivative with Sturm chains and keeping the largest, where
 ``sigmak.rootchain`` runs one monotone sign test per level.  The membership
 oracle builds one partial restriction per level and evaluates it afresh at
 every coordinate subset it checks, where ``sigmak.equations`` shares the
-symmetric functions across levels and subsets.  All stay deliberately
-separate from the exact code paths they are used to check.
+symmetric functions across levels and subsets.  The rounding and
+remainder oracles (``bracket_by_fractions``, ``remainder_sequence_by_division``,
+``gcd_by_division``) bisect and divide in ``Fraction`` arithmetic, where
+``sigmak`` works on integer forms.  All stay deliberately separate from the
+exact code paths they are used to check.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from sigmak.equations import (
     partial_restriction,
 )
 from sigmak.errors import DimensionMismatch, NotStableEquation
-from sigmak.poly import Poly, derivative, sturm_chain
-from sigmak.realroots import from_rational, largest_real_root, sign_at
+from sigmak.poly import Poly, SturmChain, derivative, sturm_chain
+from sigmak.poly import evaluate as poly_evaluate
+from sigmak.rationals import sign
+from sigmak.realroots import AlgebraicNumber, from_rational, largest_real_root, sign_at
 from sigmak.rootchain import ChainCertificate, ChainVerdict
 
 
@@ -178,6 +183,62 @@ def _bareiss_determinant(m: list[list[Fraction]]) -> Fraction:
             rows[i][k] = 0
         prev = rows[k][k]
     return Fraction(sign_fix * rows[size - 1][size - 1], scale)
+
+
+def bracket_by_fractions(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
+    """Decimal bracket of ``alpha`` by bisecting at ``Fraction`` grid points."""
+    scale = 10**digits
+    if alpha.is_rational:
+        value = alpha.rational_value * scale
+        return Fraction(math.floor(value), scale), Fraction(math.ceil(value), scale)
+    a = math.floor(alpha.interval.lo * scale) + 1
+    b = math.ceil(alpha.interval.hi * scale) - 1
+    sign_lo = sign(poly_evaluate(alpha.defining, alpha.interval.lo))
+    while a <= b:
+        k = (a + b) // 2
+        s = sign(poly_evaluate(alpha.defining, Fraction(k, scale)))
+        if s == 0:
+            return Fraction(k, scale), Fraction(k, scale)
+        if s == sign_lo:
+            a = k + 1
+        else:
+            b = k - 1
+    return Fraction(b, scale), Fraction(a, scale)
+
+
+def _primitive_by_fractions(p: Poly) -> Poly:
+    if p.is_zero:
+        return p
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return Poly([v // g for v in ints])
+
+
+def remainder_sequence_by_division(p: Poly) -> SturmChain:
+    """``p, p', -rem, ...`` by rational long division, each made primitive."""
+    q = _primitive_by_fractions(p)
+    if q.degree < 1:
+        return SturmChain((q,))
+    chain = [q, _primitive_by_fractions(derivative(q))]
+    while True:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero:
+            break
+        chain.append(_primitive_by_fractions(-rem))
+    return SturmChain(chain)
+
+
+def gcd_by_division(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by Euclid with monic rational remainders."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+        if not a.is_zero and a.degree >= 1:
+            a = a.monic()
+    if a.is_zero:
+        return a
+    return a.monic() if a.degree >= 1 else Poly([1])
 
 
 def certify_right_by_isolation(p: Poly) -> ChainCertificate:

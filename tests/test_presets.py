@@ -18,6 +18,7 @@ from sigmak.errors import (
     HypothesisViolated,
     NonPositiveConstant,
     PhaseOutOfRange,
+    PrecisionOutOfRange,
     TopCoefficientNotZero,
 )
 from sigmak.presets import (
@@ -191,6 +192,12 @@ class TestDhym:
         with pytest.raises((DegeneratePhase, PhaseOutOfRange)):
             dhym(DhymSpec(2, F(0)))
 
+    def test_precision_validated(self):
+        for bad in (-1, -20, 2.0, F(3), "15", None, True, False):
+            with pytest.raises(PrecisionOutOfRange):
+                dhym(DhymSpec(3, F(3, 4), precision=bad))
+        assert dhym(DhymSpec(3, F(3, 4), precision=0)).equation.c == (F(1), F(1), F(-1))
+
 
 class TestClosedForm:
     def test_degree3_examples(self):
@@ -231,6 +238,16 @@ class TestClosedForm:
         assert closed_form_criterion(f) is StabilityVerdict.STABLE
         assert certify_stable(f).verdict is StabilityVerdict.STABLE
 
+    def test_degree4_irrational_boundary(self):
+        # c2 = 2/3, c1 = 0: x1 = sqrt(2), where the criterion 2 x^2 - 4 + (c0 + 4)
+        # vanishes exactly for c0 = -4; only the gcd zero test can see that
+        for delta, verdict in ((F(0), StabilityVerdict.STABLE),
+                               (F(1, 10**30), StabilityVerdict.STRICTLY_STABLE),
+                               (-F(1, 10**30), StabilityVerdict.NOT_STABLE)):
+            f = SigmaKPolynomial(4, (F(-4) + delta, F(0), F(2, 3), F(0)))
+            assert closed_form_criterion(f) is verdict
+            assert certify_stable(f).verdict is verdict
+
     def test_guards(self):
         with pytest.raises(DegreeOutOfRange):
             closed_form_criterion(SigmaKPolynomial(5, (F(0),) * 5))
@@ -258,16 +275,19 @@ class TestClosedForm:
                 assert closed_form_criterion(f) is certify_stable(f).verdict
 
     def test_irrational_boundary_escalation(self):
-        # c2=2, c1=1 gives an irrational x1; approach its boundary value to 1e-25
+        # c2=2, c1=1 gives an irrational x1; approach its boundary value to 1e-e
+        # (at e = 100 the first certified bracket is too wide and is bisected)
         import mpmath
 
-        with mpmath.workdps(60):
-            x1 = 2 * mpmath.sqrt(2) * mpmath.cos(mpmath.acos(1 / (2 * mpmath.mpf(2) ** 1.5)) / 3)
-            near = -3 * 2 * x1**2 - 3 * x1
-        c0_near = F(int(near * 10**25), 10**25)
-        for delta in (F(0), F(1, 10**25), -F(1, 10**25)):
-            f = SigmaKPolynomial(4, (c0_near + delta, F(1), F(2), F(0)))
-            assert closed_form_criterion(f) is certify_stable(f).verdict
+        for e in (25, 100):
+            with mpmath.workdps(e + 35):
+                arg = 1 / (2 * mpmath.mpf(2) ** 1.5)
+                x1 = 2 * mpmath.sqrt(2) * mpmath.cos(mpmath.acos(arg) / 3)
+                near = -3 * 2 * x1**2 - 3 * x1
+                c0_near = F(int(near * 10**e), 10**e)
+            for delta in (F(0), F(1, 10**e), -F(1, 10**e)):
+                f = SigmaKPolynomial(4, (c0_near + delta, F(1), F(2), F(0)))
+                assert closed_form_criterion(f) is certify_stable(f).verdict
 
     def test_near_double_root_of_the_cubic(self):
         # c1 = -2 + 10^-e splits the cubic's double root at 1 by about
@@ -278,6 +298,15 @@ class TestClosedForm:
                 assert closed_form_criterion(f) is StabilityVerdict.STRICTLY_STABLE
                 if e < 100:
                     assert certify_stable(f).verdict is StabilityVerdict.STRICTLY_STABLE
+
+    def test_value_below_every_precision_tried(self):
+        # roots of the cubic 10^-1200 apart put the criterion value near
+        # 4 * 10^-2400: no bracket up to 2560 digits makes interval Horner
+        # separate it, but the exact answer exists
+        c1 = F(-2) + F(1, 10**2400)
+        for c0 in (F(3), F(3) + F(1, 10**1205)):
+            f = SigmaKPolynomial(4, (c0, c1, F(1), F(0)))
+            assert closed_form_criterion(f) is certify_stable(f).verdict
 
     def test_translate_then_closed_form(self):
         rng = random.Random(66)
