@@ -6,9 +6,9 @@ runs for identical inputs and seeds; wall-clock timings live in a separate
 non-canonical field.  Exit codes: 0 success (whatever the verdict), 2 usage
 or parse errors, 3 internal precondition violations.
 
-``analysis``, ``presets`` and numpy are imported only by the commands that
-use them, so a ``certify``, ``dominance`` or ``membership`` run does not
-load them or mpmath.
+``analysis`` and ``presets`` are imported only by the commands that use
+them, so a ``certify``, ``dominance`` or ``membership`` run loads neither,
+nor mpmath or numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .equations import (
     SigmaKPolynomial,
-    StabilityVerdict,
     certify_stable,
     cone_membership,
     diagonal_restriction,
@@ -39,8 +38,10 @@ SCHEMA_VERSION = "1"
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 # upper bounds on sizes read from the command line; MAX_SAMPLES also caps
-# the rows `deform` computes, its samples times its curves
+# the rows `deform` computes, its samples times its curves, and the pairs
+# of `certify --convexity-pairs`
 MAX_DIGITS = 100
+MAX_PRESET_DEGREE = 1000
 MAX_SAMPLES = 10000
 # curves in the default `deform` grid
 DEFORM_CURVES = 12
@@ -139,31 +140,12 @@ def _run_report(args) -> int:
     return 0
 
 
-def _numeric_chain(p: Poly) -> list[float]:
-    """Float largest-root chain of every derivative; non-certificate path."""
-    import numpy as np
-
-    from .poly import derivative
-
-    chain = []
-    current = p
-    n = int(p.degree)
-    for _ in range(n):
-        coeffs = [float(c) for c in reversed(current.coeffs)]
-        roots = np.roots(coeffs) if len(coeffs) > 1 else np.array([])
-        scale = 1.0 + max(abs(r) for r in roots) if len(roots) else 1.0
-        real = [r.real for r in roots if abs(r.imag) <= 1e-9 * scale]
-        chain.append(max(real) if real else None)
-        current = derivative(current)
-    return chain
-
-
 def _parse_certify(args):
     equation = _read_equation(args.input)
     if not 1 <= args.digits <= MAX_DIGITS:
         raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
-    if args.convexity_pairs < 0:
-        raise UsageError("--convexity-pairs must be >= 0")
+    if not 0 <= args.convexity_pairs <= MAX_SAMPLES:
+        raise UsageError(f"--convexity-pairs must be between 0 and {MAX_SAMPLES}")
     try:
         seed = int(os.environ.get("SIGMAK_SEED", "0"))
     except ValueError as exc:
@@ -173,33 +155,12 @@ def _parse_certify(args):
 
 def _certify(args, state):
     equation, seed = state
-    extras: dict = {}
-    if args.float_mode:
-        chain = _numeric_chain(diagonal_restriction(equation))
-        extras["mode"] = "numeric (non-certificate)"
-        ok = all(v is not None for v in chain) and all(
-            chain[k] >= chain[k + 1] - 1e-9 for k in range(len(chain) - 1)
-        )
-        strict = ok and len(chain) >= 2 and chain[0] > chain[1] + 1e-9
-        verdict = (
-            StabilityVerdict.STRICTLY_STABLE
-            if strict
-            else StabilityVerdict.STABLE
-            if ok
-            else StabilityVerdict.NOT_STABLE
-        )
-        chain_rows = [
-            {"level": k, "approx": None if v is None else f"{v:.{args.digits}f}"}
-            for k, v in enumerate(chain)
-        ]
-    else:
-        report = certify_stable(equation)
-        verdict = report.verdict
-        chain_rows = _chain_payload(report.certificate, args.digits)
-        if not report.is_stable:
-            cert = report.certificate
-            extras["failure_level"] = cert.failure_level
-            extras["missing_root"] = cert.missing_root
+    report = certify_stable(equation)
+    # --float stays for existing callers: the same certificate, plus its old label
+    extras: dict = {"mode": "numeric (non-certificate)"} if args.float_mode else {}
+    if not report.is_stable:
+        extras["failure_level"] = report.certificate.failure_level
+        extras["missing_root"] = report.certificate.missing_root
     if args.convexity_pairs > 0:
         from . import analysis
 
@@ -211,7 +172,7 @@ def _certify(args, state):
             "failures": mid.failures,
             "mode": mid.mode,
         }
-    return verdict.value, chain_rows, extras
+    return report.verdict.value, _chain_payload(report.certificate, args.digits), extras
 
 
 _ORDER_SYMBOL = {Order.GREATER: ">", Order.EQUAL: "=", Order.LESS: "<"}
@@ -360,6 +321,9 @@ def _parse_deform(args):
             f"--samples times the {curves} grid curves must be at most {MAX_SAMPLES}"
         )
     x_max = _rational(args.x_max, "--x-max") if args.x_max else None
+    if x_max is not None and abs(x_max) > sys.float_info.max:
+        # the profile's sample abscissae are floats
+        raise UsageError("--x-max must be within the float range")
     return input_obj, (target, grid, x_max)
 
 
@@ -401,6 +365,13 @@ def _deform(args, state):
     return "deformation", [], extras
 
 
+def _preset_degree(text: str) -> int:
+    n = int(text)
+    if n > MAX_PRESET_DEGREE:
+        raise UsageError(f"preset degree must be at most {MAX_PRESET_DEGREE}")
+    return n
+
+
 def _cmd_preset(args) -> int:
     from .presets import (
         DhymSpec,
@@ -419,17 +390,19 @@ def _cmd_preset(args) -> int:
         raise UsageError(f"--precision must be between 0 and {MAX_DIGITS}")
     try:
         if name == "monge-ampere":
-            equation = monge_ampere(int(params[0]), parse_rational(params[1]))
+            equation = monge_ampere(_preset_degree(params[0]), parse_rational(params[1]))
         elif name == "j-equation":
-            equation = j_equation(int(params[0]), parse_rational(params[1]))
+            equation = j_equation(_preset_degree(params[0]), parse_rational(params[1]))
         elif name == "hessian":
-            equation = hessian_type(int(params[0]), int(params[1]), parse_rational(params[2]))
+            equation = hessian_type(
+                _preset_degree(params[0]), int(params[1]), parse_rational(params[2])
+            )
         elif name in ("nonneg", "guan-zhang"):
-            n = int(params[0])
+            n = _preset_degree(params[0])
             lower = [parse_rational(v) for v in params[1:]]
             equation = nonneg_coeff(n, lower, parse_rational(args.top)).equation
         elif name == "dhym":
-            n = int(params[0])
+            n = _preset_degree(params[0])
             mult, offset = parse_phase(params[1])
             result = dhym(DhymSpec(n, mult, offset, args.precision))
             equation = result.equation
@@ -458,7 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     certify = sub.add_parser("certify", help="certify stability / level-set convexity")
     certify.add_argument("input", nargs="?", default="-")
     certify.add_argument("--digits", type=int, default=3)
-    certify.add_argument("--float", dest="float_mode", action="store_true")
+    certify.add_argument(
+        "--float",
+        dest="float_mode",
+        action="store_true",
+        help='the same exact certificate, labelled "numeric (non-certificate)"',
+    )
     certify.add_argument(
         "--convexity-pairs",
         type=int,

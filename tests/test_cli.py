@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -90,11 +92,77 @@ class TestCertify:
         assert report["verdict"] == "not-stable"
         assert report["chain"][0]["approx"] is None
 
+    @pytest.mark.parametrize(
+        "c0, verdict",
+        [("-1e-24", "not-stable"), ("1e-24", "strictly-stable-convex")],
+    )
+    def test_float_mode_near_ties(self, tmp_path, capsys, c0, verdict):
+        # x^2 - c0: no real root just below zero, two just above
+        path = write_json(tmp_path / "f.json", {"n": 2, "c": [c0, "0"]})
+        code, out, _ = run(capsys, "certify", path, "--float")
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == verdict
+        if verdict == "not-stable":
+            assert report["chain"][0]["approx"] is None
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         code, _, err = run(capsys, "certify", str(bad))
         assert code == 2 and "error" in err
+
+
+def _family_equations():
+    """Seeded certify-highdeg family members at degrees 5, 8 and 12, every family."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(10)
+    return [
+        {"n": n, "c": [str(v) for v in workloads.family_equation(rng, n, family)]}
+        for n in (5, 8, 12)
+        for family in workloads.CertifyHighdeg.families
+    ]
+
+
+class TestFloatModeIsTheCertificate:
+    """``certify --float`` reports the exact certificate, labelled."""
+
+    def _bodies(self, capsys, path, *extra):
+        bodies = []
+        for flags in ((), ("--float",)):
+            code, out, _ = run(capsys, "certify", path, *extra, *flags)
+            assert code == 0
+            bodies.append(canonical_body(json.loads(out)))
+        plain, labelled = bodies
+        assert labelled["extras"].pop("mode") == "numeric (non-certificate)"
+        return plain, labelled
+
+    def test_examples_and_presets(self, tmp_path, capsys):
+        paths = [write_json(tmp_path / "ex11.json", EX11), write_json(tmp_path / "ex12.json", EX12)]
+        for name, params in [
+            ("monge-ampere", ["3", "1"]),
+            ("j-equation", ["4", "2"]),
+            ("hessian", ["4", "1", "3"]),
+            ("nonneg", ["4", "1", "2", "3", "--top", "-5"]),
+        ]:
+            code, out, _ = run(capsys, "preset", name, *params)
+            assert code == 0
+            paths.append(write_json(tmp_path / f"{name}.json", json.loads(out)))
+        for path in paths:
+            for digits in ("3", "8"):
+                plain, labelled = self._bodies(capsys, path, "--digits", digits)
+                assert plain["verdict"] == "strictly-stable-convex"
+                assert labelled == plain
+
+    def test_bench_families(self, tmp_path, capsys):
+        verdicts = set()
+        for i, obj in enumerate(_family_equations()):
+            plain, labelled = self._bodies(capsys, write_json(tmp_path / f"f{i}.json", obj))
+            assert labelled == plain
+            verdicts.add(plain["verdict"])
+        assert verdicts == {"strictly-stable-convex", "stable", "not-stable"}
 
 
 class TestDominance:
@@ -288,6 +356,22 @@ class TestLazyImports:
         json.loads(proc.stdout)
 
 
+    def test_float_certify_loads_no_numpy(self, tmp_path):
+        heavy = ["mpmath", "numpy", "sigmak.analysis", "sigmak.presets"]
+        ex11 = write_json(tmp_path / "ex11.json", EX11)
+        probe = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('sigmak', run_name='__main__')\n"
+            "finally:\n"
+            f"    print([m for m in {heavy!r} if m in sys.modules], file=sys.stderr)\n"
+        )
+        proc = run_fresh("-c", probe, "certify", ex11, "--float")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "strictly-stable-convex"
+        assert proc.stderr.strip() == "[]"
+
+
 class TestReportCommands:
     @pytest.mark.parametrize(
         "argv",
@@ -378,6 +462,12 @@ class TestMalformedInput:
             ["deform", "--poly", "1275,-260,-24,0,1", "--samples", "834"],
             ["preset", "dhym", "3", "3/4pi", "--precision", "-1"],
             ["preset", "dhym", "3", "3/4pi", "--precision", "101"],
+            ["certify", "{f}", "--convexity-pairs", "100000000"],
+            ["preset", "monge-ampere", "100000000", "1"],
+            ["preset", "j-equation", "1001", "1"],
+            ["preset", "hessian", "1001", "3", "1"],
+            ["preset", "nonneg", "1001", "1"],
+            ["preset", "dhym", "1001", "2001/4pi"],
         ],
         ids=[
             "digits",
@@ -389,6 +479,12 @@ class TestMalformedInput:
             "deform-default-grid-product",
             "precision-negative",
             "precision-too-large",
+            "convexity-pairs",
+            "preset-degree",
+            "j-equation-degree",
+            "hessian-degree",
+            "nonneg-degree",
+            "dhym-degree",
         ],
     )
     def test_size_caps(self, tmp_path, capsys, argv):
@@ -400,6 +496,13 @@ class TestMalformedInput:
     def test_deform_bad_x_max(self, capsys):
         code, _, err = run(capsys, "deform", "--poly", "1275,-260,-24,0,1", "--x-max", "abc")
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("x_max", ["1e400", "-1e400"])
+    def test_deform_x_max_beyond_float(self, tmp_path, capsys, x_max):
+        path = write_json(tmp_path / "f.json", EX11)
+        code, out, err = run(capsys, "deform", path, f"--x-max={x_max}", "--samples", "2")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("bounds", ["12:inf", "-inf:12"])
     def test_alpha_infinite_range(self, tmp_path, capsys, bounds):
