@@ -8,7 +8,7 @@ or parse errors, 3 internal precondition violations.
 
 ``analysis`` and ``presets`` are imported only by the commands that use
 them, so a ``certify``, ``dominance`` or ``membership`` run loads neither,
-nor mpmath or numpy.
+nor mpmath.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .equations import (
     diagonal_restriction,
     dominates,
 )
-from .errors import SigmaKError
+from .errors import OutOfDeformationRange, SigmaKError
 from .poly import Poly
 from .rationals import format_rational, parse_rational
 from .realroots import Order, bracket, rounded
@@ -342,9 +342,16 @@ def _deform(args, state):
             raise SigmaKError("degenerate deformation window")
         step = (high - low) / DEFORM_CURVES
         grid = [low + step * i for i in range(1, DEFORM_CURVES + 1)]
-    rows = analysis.deformation_profile(
-        target, grid, args.samples, x_max, certificate=cert
-    )
+    try:
+        rows = analysis.deformation_profile(
+            target, grid, args.samples, x_max, certificate=cert
+        )
+    except OutOfDeformationRange as exc:
+        # the grid value may be hundreds of digits long: name the window, not the value
+        raise UsageError(
+            "--y-grid values must lie in the deformation window: from the largest root"
+            " of p^(m), m the top root's multiplicity, to the largest root of p"
+        ) from exc
     descent = analysis.deformation_alpha_descent(
         target,
         grid,
@@ -413,7 +420,8 @@ def _cmd_preset(args) -> int:
             }
         else:
             raise UsageError(f"unknown preset {name!r}")
-    except (IndexError, ValueError, ZeroDivisionError) as exc:
+    except (IndexError, ValueError, ZeroDivisionError, SigmaKError) as exc:
+        # SigmaKError: a constructor's range check on a parameter
         raise UsageError(f"bad preset parameters: {exc}") from exc
     payload = dict(_equation_json(equation))
     payload.update(extras)

@@ -65,17 +65,16 @@ class SigmaKPolynomial:
             )
 
 
-def elementary_symmetric(values: Sequence, upto: Optional[int] = None) -> list:
-    """e_0..e_upto of the values by the stable one-pass recurrence."""
-    m = len(values) if upto is None else upto
+def elementary_symmetric(values: Sequence) -> list:
+    """e_0..e_m of the m values by the stable one-pass recurrence."""
+    m = len(values)
     zero = 0
     for v in values:
         zero = zero * v  # adopt float when any coordinate is float
     e = [zero] * (m + 1)
     e[0] = 1 + zero
     for i, v in enumerate(values):
-        top = min(i + 1, m)
-        for j in range(top, 0, -1):
+        for j in range(i + 1, 0, -1):
             e[j] = e[j] + v * e[j - 1]
     return e
 

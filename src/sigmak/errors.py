@@ -14,11 +14,7 @@ class DegreeTooLow(SigmaKError):
 
 
 class DegreeOutOfRange(SigmaKError):
-    """The degree is outside the range covered by a closed-form criterion."""
-
-
-class NoRealRoot(SigmaKError):
-    """The polynomial has no real root."""
+    """The degree is outside the range the operation supports."""
 
 
 class DimensionMismatch(SigmaKError):
@@ -45,24 +41,8 @@ class SamplingExhausted(SigmaKError):
     """Region sampling exceeded its retry budget."""
 
 
-class CriticalPoint(SigmaKError):
-    """The derivative vanishes at the evaluation point."""
-
-
 class OutOfDeformationRange(SigmaKError):
     """The deformation parameter lies outside the admissible root window."""
-
-
-class ZeroCoordinate(SigmaKError):
-    """A point coordinate is zero where division by it is required."""
-
-
-class NotOnLevelSet(SigmaKError):
-    """The point does not lie on the zero level set."""
-
-
-class TopCoefficientNotZero(SigmaKError):
-    """The operation requires the top-order coefficient to vanish (translate first)."""
 
 
 class NonPositiveConstant(SigmaKError):
@@ -83,7 +63,3 @@ class DegeneratePhase(SigmaKError):
 
 class PrecisionOutOfRange(SigmaKError):
     """A requested number of decimal digits is not a non-negative integer."""
-
-
-class RootBracketNotCertified(SigmaKError):
-    """A high-precision root bracket failed its exact check at every precision tried."""

@@ -1,12 +1,12 @@
-"""Constructors for the named equation families and the small-degree closed forms.
+"""Constructors for the named equation families.
 
 Includes the classical product equation, the pure-top-derivative equation,
 single-term Hessian-type equations, the non-negative-coefficient family
 (signed top term allowed), and the arctangent phase equation whose
 coefficients are trigonometric in the phase.  Every constructor is
 cross-checkable against the generic stability certifier.  mpmath is
-imported only by the phase equation and the closed forms that use it, so
-the exact constructors load without it.
+imported only by the phase equation, so the exact constructors load
+without it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .equations import SigmaKPolynomial, StabilityVerdict
+from .equations import SigmaKPolynomial
 from .errors import (
     DegeneratePhase,
     DegreeOutOfRange,
@@ -24,12 +24,8 @@ from .errors import (
     NonPositiveConstant,
     PhaseOutOfRange,
     PrecisionOutOfRange,
-    RootBracketNotCertified,
-    TopCoefficientNotZero,
 )
-from .poly import Poly, taylor_shift
 from .rationals import parse_rational, sign
-from .realroots import _bisect_once, _shares_root
 
 
 def monge_ampere(n: int, c0) -> SigmaKPolynomial:
@@ -210,109 +206,3 @@ def dhym(spec: DhymSpec) -> DhymResult:
             float(mpmath.tan((theta - k * mpmath.pi / 2) / (n - k))) for k in range(n)
         )
     return DhymResult(SigmaKPolynomial(n, coeffs), chain, branch)
-
-
-# -- closed-form criteria for degree <= 4 -------------------------------------
-
-
-def _verdict_from_sign(value_sign: int) -> StabilityVerdict:
-    if value_sign > 0:
-        return StabilityVerdict.STRICTLY_STABLE
-    if value_sign == 0:
-        return StabilityVerdict.STABLE
-    return StabilityVerdict.NOT_STABLE
-
-
-def _sign_c0_plus_2_pow32(c0: Fraction, base: Fraction) -> int:
-    """Exact sign of ``c0 + 2*base**(3/2)`` for ``base >= 0``."""
-    if c0 >= 0:
-        return 1 if (c0 > 0 or base > 0) else 0
-    return sign(4 * base**3 - c0**2)
-
-
-def _largest_cubic_root_bracket(c2: Fraction, c1: Fraction, dps: int):
-    """Conservative rational bracket of the largest root of ``x^3 - 3 c2 x - c1``.
-
-    The explicit branch formula is evaluated at ``dps`` digits and padded by
-    a generous error allowance; the bracket is certified afterwards against
-    the cubic itself before being trusted.
-    """
-    import mpmath
-
-    disc = 4 * c2**3 - c1**2
-    with mpmath.workdps(dps):
-        mc2 = mpmath.mpf(c2.numerator) / c2.denominator
-        mc1 = mpmath.mpf(c1.numerator) / c1.denominator
-        argument = mc1 / (2 * mc2 ** mpmath.mpf("1.5"))
-        if disc >= 0:
-            argument = max(mpmath.mpf(-1), min(mpmath.mpf(1), argument))
-            root = 2 * mpmath.sqrt(mc2) * mpmath.cos(mpmath.acos(argument) / 3)
-        else:
-            argument = max(mpmath.mpf(1), argument)
-            root = 2 * mpmath.sqrt(mc2) * mpmath.cosh(mpmath.acosh(argument) / 3)
-        # a rounding error in the coefficients moves the root by about that
-        # error over cubic'(root), which vanishes at a double root
-        slope = max(3 * abs(root**2 - mc2), mpmath.mpf(10) ** -dps)
-        pad = mpmath.mpf(10) ** (10 - dps) * (1 + abs(root)) * max(1, (1 + abs(root)) ** 2 / slope)
-        lo = _raw_mpf_to_fraction((root - pad)._mpf_)
-        hi = _raw_mpf_to_fraction((root + pad)._mpf_)
-    return lo, hi
-
-
-def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
-    """Explicit stability criterion for degree 2, 3 or 4 with zero top coefficient.
-
-    Degree 2: ``c0 > 0``.  Degree 3: ``c1 >= 0`` and ``c0 > -2 c1^(3/2)``.
-    Degree 4: ``c2 >= 0``, ``c1 >= -2 c2^(3/2)`` and ``c0 > -3 c2 x1^2 -
-    3 c1 x1`` where ``x1`` is the largest root of the depressed cubic,
-    taken from its trigonometric/hyperbolic branch formula.  Irrational
-    comparisons are settled by exact sign tests on squared or cubed forms
-    where possible, otherwise by high-precision evaluation with outward
-    rounding, a bracket of ``x1`` certified against the cubic, the gcd of
-    the criterion and the cubic changing sign on it, else bisection of it.
-    """
-    n = f.n
-    if n not in (2, 3, 4):
-        raise DegreeOutOfRange("closed forms cover degrees 2..4 only")
-    if f.c[n - 1] != 0:
-        raise TopCoefficientNotZero("translate the equation first")
-    if n == 2:
-        return _verdict_from_sign(sign(f.c[0]))
-    if n == 3:
-        c0, c1 = f.c[0], f.c[1]
-        if c1 < 0:
-            return StabilityVerdict.NOT_STABLE
-        return _verdict_from_sign(_sign_c0_plus_2_pow32(c0, c1))
-
-    c0, c1, c2 = f.c[0], f.c[1], f.c[2]
-    if c2 < 0:
-        return StabilityVerdict.NOT_STABLE
-    if c1 < 0 and c1**2 > 4 * c2**3:
-        return StabilityVerdict.NOT_STABLE
-    if c2 == 0:
-        # x1 = c1^(1/3) with c1 >= 0, so 3*c1*x1 = 3*c1^(4/3)
-        if c0 >= 0:
-            return _verdict_from_sign(1 if (c0 > 0 or c1 > 0) else 0)
-        return _verdict_from_sign(sign(27 * c1**4 - (-c0) ** 3))
-    cubic = Poly([-c1, -3 * c2, Fraction(0), Fraction(1)])
-    boundary = Poly([c0, 3 * c1, 3 * c2])
-    if c1 < 0 and c1**2 == 4 * c2**3:
-        # x1 = sqrt(c2) is a double root of the cubic, the rational -c1/(2 c2)
-        return _verdict_from_sign(sign(boundary(-c1 / (2 * c2))))
-    dps = 40
-    while dps <= 2560:
-        lo, hi = _largest_cubic_root_bracket(c2, c1, dps)
-        # convex above 0 and rising at lo (lo^2 > c2): x1 is its one root above lo
-        if 0 < lo < hi and lo**2 > c2 and cubic(lo) < 0 < cubic(hi):
-            if _shares_root(boundary, cubic, lo, hi):
-                return StabilityVerdict.STABLE
-            # boundary(x1) != 0: bisect until its enclosure about the midpoint has one sign
-            while lo < hi:
-                rad = (hi - lo) / 2
-                vlo, vhi = taylor_shift(boundary, lo + rad).eval_interval(-rad, rad)
-                if vlo > 0 or vhi < 0:
-                    return _verdict_from_sign(1 if vlo > 0 else -1)
-                lo, hi, _ = _bisect_once(cubic, lo, hi, -1)
-            return _verdict_from_sign(sign(boundary(lo)))
-        dps *= 2
-    raise RootBracketNotCertified("could not certify a bracket of the cubic's largest root")

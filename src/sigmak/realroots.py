@@ -2,17 +2,16 @@
 
 A real algebraic number is a defining polynomial together with a rational
 isolating interval containing exactly one of its roots, a simple one.
-Every query below is decided exactly.  The decision paths (``compare``,
-the chain certifier, the degree-4 closed form) bisect by sign and settle a
-tie with one zero test, ``_shares_root``; a rational is compared by one
-evaluation.  ``isolate_real_roots``, ``sign_at`` and
-``count_real_roots_with_multiplicity`` are the Sturm-based general API and
+Every query below is decided exactly.  The decision paths (``compare``
+and the chain certifier) bisect by sign and settle a tie with one zero
+test, ``_shares_root``; a rational is compared by one evaluation.
+``isolate_real_roots`` and ``sign_at`` are the Sturm-based general API and
 the tests' independent reference.
 
 ``bracket`` is the only way a root becomes a rational: the decimal grid
 points next to it, which depend on the number alone and never on how far
 isolation or bisection happened to go.  ``approx``, report intervals and the
-seeded base points of sampling and scans are all taken from it.  Its probes
+seeded base points of sampling and deformation windows are all taken from it.  Its probes
 are integer Horner values, positive multiples of the defining polynomial's.
 """
 
@@ -379,15 +378,3 @@ def rounded(deeper: tuple[Fraction, Fraction], digits: int) -> str:
         kept += 1
     whole, frac = divmod(abs(kept), 10**digits)
     return f"{'-' if kept < 0 else ''}{whole}.{frac:0{digits}d}"
-
-
-def count_real_roots_with_multiplicity(p: Poly) -> int:
-    """Total number of real roots counted with multiplicity."""
-    if p.is_zero:
-        raise ZeroPolynomial("root count of the zero polynomial")
-    if p.degree < 1:
-        return 0
-    total = 0
-    for fac, mult in yun_decomposition(p):
-        total += mult * sturm_chain(fac).count_all()
-    return total

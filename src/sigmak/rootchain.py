@@ -49,7 +49,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegreeTooLow, NoRealRoot, ZeroPolynomial
+from .errors import DegreeTooLow
 from .poly import Poly, derivative, evaluate, remainder_sequence
 from .rationals import sign
 from .realroots import (
@@ -58,9 +58,7 @@ from .realroots import (
     _bisect_once,
     _shares_root,
     bracket,
-    count_real_roots_with_multiplicity,
     from_rational,
-    largest_real_root,
 )
 
 # Bisection steps a level takes before its exact zero test.  Every level with
@@ -213,41 +211,3 @@ def certify_right(p: Poly) -> ChainCertificate:
         signs=tuple(signs),
         top_multiplicity=chain[0].multiplicity_in_source,
     )
-
-
-def certify_left(p: Poly) -> ChainCertificate:
-    """Mirror test: left chain of ``p`` equals the right chain of ``p(-x)``.
-
-    The witnesses are reported in the original coordinates, so ``chain[k]``
-    is the smallest real root of ``p^(k)`` at or below the smallest real
-    root of ``p^(k+1)``.
-    """
-    if p.is_zero or p.degree < 1:
-        raise DegreeTooLow("chain certification needs degree >= 1")
-    cert = certify_right(_normalize(p.mirror()))
-    return ChainCertificate(
-        verdict=cert.verdict,
-        polynomial=_normalize(p),
-        chain=tuple(a.negate() if a is not None else None for a in cert.chain),
-        signs=cert.signs,
-        failure_level=cert.failure_level,
-        missing_root=cert.missing_root,
-        top_multiplicity=cert.top_multiplicity,
-    )
-
-
-def is_real_rooted(p: Poly) -> bool:
-    """True iff the number of real roots counted with multiplicity equals the degree."""
-    if p.is_zero:
-        raise ZeroPolynomial("real-rootedness of the zero polynomial")
-    if p.degree < 1:
-        return True
-    return count_real_roots_with_multiplicity(p) == int(p.degree)
-
-
-def multiplicity_at_largest_root(p: Poly) -> int:
-    """Multiplicity of the largest real root of ``p``."""
-    root = largest_real_root(p)
-    if root is None:
-        raise NoRealRoot("polynomial has no real root")
-    return root.multiplicity_in_source

@@ -11,14 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from sigmak.analysis import (
-    alpha_limit,
-    bordered_hessian_entries,
-    deformation_alpha_descent,
-    diagonal_hessian_scalar,
-    midpoint_convexity_test,
-    monotonicity_scan,
-)
+from sigmak.analysis import deformation_alpha_descent, midpoint_convexity_test
 from sigmak.cli import main
 from sigmak.equations import (
     SigmaKPolynomial,
@@ -27,11 +20,12 @@ from sigmak.equations import (
     graph_lambda_n,
 )
 from sigmak.poly import Poly, discriminant
-from sigmak.presets import DhymSpec, closed_form_criterion, dhym, nonneg_coeff
+from sigmak.presets import DhymSpec, dhym, nonneg_coeff
 from sigmak.realroots import refine
 from sigmak.rootchain import ChainVerdict, certify_right
 
-from _oracles import float_chain_verdict, near_tie
+from _oracles import closed_form_criterion, float_chain_verdict, near_tie
+from _paper import alpha_limit, bordered_hessian_entries, diagonal_hessian_scalar, monotonicity_scan
 
 EX11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
 EX12 = SigmaKPolynomial(5, (F(-24), F(-2), F(65), F(19), F(0)))
@@ -311,7 +305,7 @@ def test_11_float_oracle_equivalence():
 def test_12_real_rooted_certify_both_sides():
     with criterion("12 real-rooted certify right and left"):
         rng = random.Random(107)
-        from sigmak.rootchain import certify_left
+        from _oracles import certify_left
 
         for _ in range(200):
             degree = rng.randint(2, 6)

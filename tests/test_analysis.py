@@ -7,35 +7,34 @@ import pytest
 from sigmak.analysis import (
     Regime,
     alpha,
-    alpha_derivative,
-    alpha_limit,
-    alpha_product_bound,
     alpha_profile,
-    bordered_hessian_entries,
     deformation,
     deformation_alpha_descent,
     deformation_profile,
-    diagonal_hessian_scalar,
-    monotonicity_scan,
-    numeric_graph_hessian,
 )
 from sigmak.equations import (
     SigmaKPolynomial,
     certify_stable,
     graph_lambda_n,
 )
-from sigmak.errors import (
-    CriticalPoint,
-    DegreeTooLow,
-    DenominatorNotPositive,
-    NotOnLevelSet,
-    OutOfDeformationRange,
-    TopCoefficientNotZero,
-    ZeroCoordinate,
-)
+from sigmak.errors import DegreeTooLow, DenominatorNotPositive, OutOfDeformationRange
 from sigmak.poly import Poly, derivative, evaluate as eval_poly
 from sigmak.realroots import refine
-from sigmak.rootchain import certify_right, multiplicity_at_largest_root
+from sigmak.rootchain import certify_right
+
+from _oracles import TopCoefficientNotZero, multiplicity_at_largest_root
+from _paper import (
+    CriticalPoint,
+    NotOnLevelSet,
+    ZeroCoordinate,
+    alpha_derivative,
+    alpha_limit,
+    alpha_product_bound,
+    bordered_hessian_entries,
+    diagonal_hessian_scalar,
+    monotonicity_scan,
+    numeric_graph_hessian,
+)
 
 EXAMPLE_11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])

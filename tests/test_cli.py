@@ -342,6 +342,10 @@ class TestLazyImports:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["certify", "{ex11}"],
+            ["membership", "{ex11}", "--point", "12,12,12,12,12"],
+            ["dominance", "{ex12}", "{ex11}"],
+            ["preset", "monge-ampere", "3", "1"],
             ["preset", "dhym", "3", "3/4pi"],
             ["certify", "{ex11}", "--float"],
             ["certify", "{ex11}", "--convexity-pairs", "5"],
@@ -350,8 +354,17 @@ class TestLazyImports:
         ],
     )
     def test_commands_that_import_late(self, tmp_path, argv):
-        ex11 = write_json(tmp_path / "ex11.json", EX11)
-        proc = run_fresh("-m", "sigmak", *(arg.format(ex11=ex11) for arg in argv))
+        """Every command runs in a process where ``import numpy`` fails."""
+        paths = {
+            "ex11": write_json(tmp_path / "ex11.json", EX11),
+            "ex12": write_json(tmp_path / "ex12.json", EX12),
+        }
+        probe = (
+            "import runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "runpy.run_module('sigmak', run_name='__main__')\n"
+        )
+        proc = run_fresh("-c", probe, *(arg.format(**paths) for arg in argv))
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
 
@@ -492,6 +505,38 @@ class TestMalformedInput:
         code, out, err = run(capsys, *[arg.format(f=path) for arg in argv])
         assert code == 2 and out == "" and err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preset", "monge-ampere", "0", "1"],
+            ["preset", "nonneg", "0"],
+            ["preset", "hessian", "0", "0", "1"],
+            ["preset", "dhym", "0", "1/2pi"],
+            ["preset", "monge-ampere", "3", "-1"],
+            ["preset", "dhym", "3", "1/4pi"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "1e400", "--samples", "2"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid=-1e400", "--samples", "2"],
+            ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "100", "--samples", "2"],
+        ],
+        ids=[
+            "monge-ampere-degree-0",
+            "nonneg-degree-0",
+            "hessian-degree-0",
+            "dhym-degree-0",
+            "monge-ampere-negative-constant",
+            "dhym-phase-outside-branch",
+            "deform-grid-huge",
+            "deform-grid-huge-negative",
+            "deform-grid-above-root",
+        ],
+    )
+    def test_parameter_out_of_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        # the message names the range, it does not echo a 400-digit value
+        assert len(err) < 200
 
     def test_deform_bad_x_max(self, capsys):
         code, _, err = run(capsys, "deform", "--poly", "1275,-260,-24,0,1", "--x-max", "abc")

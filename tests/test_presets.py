@@ -19,11 +19,9 @@ from sigmak.errors import (
     NonPositiveConstant,
     PhaseOutOfRange,
     PrecisionOutOfRange,
-    TopCoefficientNotZero,
 )
 from sigmak.presets import (
     DhymSpec,
-    closed_form_criterion,
     dhym,
     hessian_type,
     j_equation,
@@ -33,7 +31,8 @@ from sigmak.presets import (
     sign_of_pi_combination,
 )
 from sigmak.realroots import approx, from_rational, compare, Order
-from sigmak.rootchain import certify_left
+
+from _oracles import TopCoefficientNotZero, certify_left, closed_form_criterion
 
 
 class TestMongeAmpere:

@@ -9,7 +9,6 @@ from sigmak.errors import ZeroPolynomial
 from sigmak.poly import Poly, SturmChain, derivative, resultant
 from sigmak.presets import (
     DhymSpec,
-    closed_form_criterion,
     dhym,
     hessian_type,
     j_equation,
@@ -32,7 +31,7 @@ from sigmak.realroots import (
 )
 from sigmak.rootchain import _root_above
 
-from _oracles import distinct_real_roots
+from _oracles import closed_form_criterion, distinct_real_roots
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 EX21_QUINTIC = Poly([24, 10, -650, -190, 0, 1])

@@ -10,20 +10,22 @@ from sigmak.equations import (
     certify_stable,
     diagonal_restriction,
 )
-from sigmak.errors import DegreeTooLow, NoRealRoot
+from sigmak.errors import DegreeTooLow
 from sigmak.poly import Poly, derivative, evaluate, squarefree_part, sturm_chain
 from sigmak.presets import j_equation
 from sigmak.rationals import sign
 from sigmak.realroots import Order, approx, compare, from_rational, sign_at
-from sigmak.rootchain import (
-    ChainVerdict,
+from sigmak.rootchain import ChainVerdict, certify_right
+
+from _oracles import (
+    NoRealRoot,
     certify_left,
-    certify_right,
+    certify_right_by_isolation,
+    float_chain_verdict,
     is_real_rooted,
     multiplicity_at_largest_root,
+    near_tie,
 )
-
-from _oracles import certify_right_by_isolation, float_chain_verdict, near_tie
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 FIG2_QUARTIC = Poly([1275, -260, -24, 0, 1])
