@@ -121,10 +121,6 @@ class Poly:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         return self.scale(1 / self.lc)
 
-    def mirror(self) -> "Poly":
-        """p(-x)."""
-        return Poly([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact rational long division: ``self = q*other + r`` with deg r < deg other."""
         if other.is_zero:

@@ -32,7 +32,6 @@ from .poly import (
     poly_gcd,
     squarefree_part,
     sturm_chain,
-    taylor_shift,
     yun_decomposition,
 )
 from .rationals import sign
@@ -104,25 +103,6 @@ class AlgebraicNumber:
             return float(self.interval.lo)
         tight = refine(self, Fraction(1, 10**17))
         return float(tight.interval.midpoint())
-
-    def shift(self, delta: Fraction) -> "AlgebraicNumber":
-        """The number ``self + delta``."""
-        delta = Fraction(delta)
-        return AlgebraicNumber(
-            taylor_shift(self.defining, -delta),
-            IsolatingInterval(self.interval.lo + delta, self.interval.hi + delta),
-            self.multiplicity_in_source,
-        )
-
-    def negate(self) -> "AlgebraicNumber":
-        mirrored = self.defining.mirror()
-        if mirrored.lc < 0:
-            mirrored = -mirrored
-        return AlgebraicNumber(
-            mirrored,
-            IsolatingInterval(-self.interval.hi, -self.interval.lo),
-            self.multiplicity_in_source,
-        )
 
 
 def from_rational(value, multiplicity: int = 1) -> AlgebraicNumber:

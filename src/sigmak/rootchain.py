@@ -36,21 +36,35 @@ its slack shrinks with the width of ``[lo, hi]``.
 Bisection of ``[lo, hi]`` decides every level with ``s != 0``; only a tie
 ``s = 0`` needs the exact zero test: the gcd with the defining polynomial
 of ``x_{k+1}`` changes sign on ``[lo, hi]``.  So no level isolates the
-roots of ``p^(k)``.  At a failure level ``missing_root`` counts the real
-roots of ``p^(k)`` at +-oo with the remainder sequence of ``p^(k)``
-itself, without its squarefree part.
+roots of ``p^(k)``.
+
+Every sign the chain decides runs on integers.  The derivative ladder is
+built once as primitive integer coefficient lists, each a positive multiple
+of ``p^(k)``, and a sign at ``x = N/D`` is the sign of the integer
+``D^d * Q(N/D)``.  The tangent bound is multiplied through by its positive
+denominators the same way.  A root keeps the sign at its lower end that the
+certifier has proved: -1 for the root found above ``x_{k+1}``, and the
+bisection's own for a narrowed interval.
+
+At a failure level ``p^(k)(x_{k+1}) > 0`` is proved, so any ``w`` with
+``p^(k)(w) <= 0`` witnesses a real root in ``[w, x_{k+1})``.  An odd
+degree has one far enough to the left; else the lower ends of the
+certified ``x_{k+1}, ..., x_{n-1}`` are tried.  Only without a witness
+does ``missing_root`` count the real roots of ``p^(k)`` at +-oo with the
+remainder sequence of ``p^(k)`` itself, without its squarefree part.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DegreeTooLow
-from .poly import Poly, derivative, evaluate, remainder_sequence
+from .poly import Poly, _primitive_ints, remainder_sequence
 from .rationals import sign
 from .realroots import (
     AlgebraicNumber,
@@ -114,55 +128,117 @@ def _normalize(p: Poly) -> Poly:
     return -p if p.lc < 0 else p
 
 
+def _ladder(p: Poly) -> tuple[list[list[int]], list[int]]:
+    """Primitive integer forms of ``p, p', ..., p^(n-1)`` and the slopes between them.
+
+    ``ladder[k]`` is a positive multiple of ``p^(k)``, and the derivative of
+    ``ladder[k]`` is ``slopes[k] * ladder[k + 1]``.
+    """
+    ladder = [_primitive_ints(p)]
+    slopes = []
+    for _ in range(int(p.degree) - 1):
+        d = [i * c for i, c in enumerate(ladder[-1])][1:]
+        g = math.gcd(*d)
+        ladder.append([c // g for c in d])
+        slopes.append(g)
+    return ladder, slopes
+
+
+def _value(q: list[int], x: Fraction) -> int:
+    """``den**deg * q(num / den)`` for ``x = num / den``: an integer with the sign of ``q(x)``."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(q):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _tangent_bound(q_hi: int, dq: list[int], slope: int, lo: Fraction, hi: Fraction) -> int:
+    """An integer with the sign of ``q(hi) - q'(hi) * (hi - lo)``.
+
+    ``q_hi`` is ``_value(q, hi)`` and ``q' = slope * dq``.  The integer is
+    the bound times the positive factor ``den(hi)**deg(q) * den(hi - lo)``.
+    """
+    width = hi - lo
+    dq_hi = _value(dq, hi) * hi.denominator
+    return q_hi * width.denominator - slope * dq_hi * width.numerator
+
+
+def _root(
+    defining: Poly, lo: Fraction, hi: Fraction, s_lo: int, multiplicity: int = 1
+) -> AlgebraicNumber:
+    """The root of ``defining`` in ``[lo, hi]``, keeping the sign ``s_lo`` already proved at ``lo``."""
+    alpha = AlgebraicNumber(defining, IsolatingInterval(lo, hi), multiplicity)
+    if lo != hi:
+        # the slot of the cached property ``_sign_lo``, which would evaluate it again
+        vars(alpha)["_sign_lo"] = s_lo
+    return alpha
+
+
 def _sign_at_increasing(
-    q: Poly, dq: Poly, alpha: AlgebraicNumber
+    q: list[int], dq: list[int], slope: int, alpha: AlgebraicNumber
 ) -> tuple[int, AlgebraicNumber]:
     """Exact sign of ``q`` at ``alpha``, for ``q`` strictly increasing and convex on ``[alpha, oo)``.
 
-    ``dq`` is the derivative of ``q``.  Also returns ``alpha`` with its
-    interval narrowed by the bisection that decided the sign; on a negative
-    sign ``q`` is ``<= 0`` at its upper end.
+    ``q`` and ``dq`` are integer forms with ``q' = slope * dq``.  Also
+    returns ``alpha`` with its interval narrowed by the bisection that
+    decided the sign; on a negative sign ``q`` is ``<= 0`` at its upper end.
     """
     if alpha.is_rational:
-        return sign(evaluate(q, alpha.rational_value)), alpha
+        return sign(_value(q, alpha.rational_value)), alpha
     defining = alpha.defining
     lo, hi, s_lo = alpha.interval.lo, alpha.interval.hi, alpha._sign_lo
     steps = 0
     while lo != hi:
-        q_hi = evaluate(q, hi)
+        q_hi = _value(q, hi)
         if q_hi <= 0:
             s = -1
             break
-        if q_hi - evaluate(dq, hi) * (hi - lo) > 0:
+        if _tangent_bound(q_hi, dq, slope, lo, hi) > 0:
             s = 1
             break
-        if steps == _STEPS_BEFORE_ZERO_TEST and _shares_root(q, defining, lo, hi):
+        if steps == _STEPS_BEFORE_ZERO_TEST and _shares_root(Poly(q), defining, lo, hi):
             s = 0
             break
         lo, hi, s_lo = _bisect_once(defining, lo, hi, s_lo)
         steps += 1
     else:
-        s = sign(evaluate(q, lo))
-    narrowed = AlgebraicNumber(
-        defining, IsolatingInterval(lo, hi), alpha.multiplicity_in_source
-    )
-    return s, narrowed
+        s = sign(_value(q, lo))
+    return s, _root(defining, lo, hi, s_lo, alpha.multiplicity_in_source)
 
 
-def _root_above(q: Poly, start: Fraction) -> AlgebraicNumber:
+def _root_above(q: list[int], start: Fraction) -> AlgebraicNumber:
     """The one root of ``q`` in ``[start, oo)``, given ``q(start) <= 0`` and ``q`` increasing there.
 
     Steps out from ``start`` by doubling widths until ``q`` turns positive.
+    Every probe ``start + j`` has the denominator of ``start``, so the
+    probes run in its numerator.
     """
-    lo, width = start, Fraction(1)
-    value = evaluate(q, lo)
+    num, den = start.numerator, start.denominator
+    value = _value(q, start)
+    width = den
     while value < 0:
-        hi = lo + width
-        value = evaluate(q, hi)
+        hi = num + width
+        value = _value(q, Fraction(hi, den))
         if value > 0:
-            return AlgebraicNumber(q.monic(), IsolatingInterval(lo, hi))
-        lo, width = hi, 2 * width
-    return from_rational(lo)
+            monic = Poly([Fraction(c, q[-1]) for c in q])
+            return _root(monic, Fraction(num, den), Fraction(hi, den), -1)
+        num, width = hi, 2 * width
+    return from_rational(Fraction(num, den))
+
+
+def _has_no_real_root(q: list[int], below: list[AlgebraicNumber]) -> bool:
+    """True iff ``q`` has no real root, given ``q > 0`` at the largest root in ``below``.
+
+    Any ``w`` with ``q(w) <= 0`` is a witness: ``q`` has a root in
+    ``[w, x_{k+1})``.  An odd degree has one far enough to the left; else
+    the lower ends in ``below`` are tried.  Without a witness the remainder
+    sequence of ``q`` counts its real roots.
+    """
+    if len(q) % 2 == 0 or any(_value(q, alpha.interval.lo) <= 0 for alpha in below):
+        return False
+    return remainder_sequence(Poly(q)).count_all() == 0
 
 
 def certify_right(p: Poly) -> ChainCertificate:
@@ -171,17 +247,15 @@ def certify_right(p: Poly) -> ChainCertificate:
         raise DegreeTooLow("chain certification needs degree >= 1")
     p = _normalize(p)
     n = int(p.degree)
-    ders = [p]
-    for _ in range(n - 1):
-        ders.append(derivative(ders[-1]))
+    ladder, slopes = _ladder(p)
 
     chain: list[Optional[AlgebraicNumber]] = [None] * n
     signs: list[Optional[int]] = [None] * max(n - 1, 0)
-    lin = ders[n - 1]
-    chain[n - 1] = from_rational(-lin.coeff(0) / lin.coeff(1))
+    lin = ladder[n - 1]
+    chain[n - 1] = from_rational(Fraction(-lin[0], lin[1]))
 
     for k in range(n - 2, -1, -1):
-        s, below = _sign_at_increasing(ders[k], ders[k + 1], chain[k + 1])
+        s, below = _sign_at_increasing(ladder[k], ladder[k + 1], slopes[k], chain[k + 1])
         chain[k + 1] = below
         signs[k] = s
         if s > 0:
@@ -191,14 +265,14 @@ def certify_right(p: Poly) -> ChainCertificate:
                 chain=tuple(chain),
                 signs=tuple(signs),
                 failure_level=k,
-                missing_root=remainder_sequence(ders[k]).count_all() == 0,
+                missing_root=_has_no_real_root(ladder[k], chain[k + 1 :]),
             )
         if s == 0:
-            chain[k] = AlgebraicNumber(
-                below.defining, below.interval, below.multiplicity_in_source + 1
-            )
+            lo, hi = below.interval.lo, below.interval.hi
+            s_lo = 0 if lo == hi else below._sign_lo  # a point keeps no sign
+            chain[k] = _root(below.defining, lo, hi, s_lo, below.multiplicity_in_source + 1)
         else:
-            chain[k] = _root_above(ders[k], below.interval.hi)
+            chain[k] = _root_above(ladder[k], below.interval.hi)
 
     if n == 1:
         verdict = ChainVerdict.STRICT

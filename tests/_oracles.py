@@ -18,15 +18,20 @@ certified against the cubic, and shares no chain code with
 ``sigmak.rootchain``.  ``certify_left`` (the right chain of ``p(-x)``),
 ``is_real_rooted``, ``multiplicity_at_largest_root`` and
 ``count_real_roots_with_multiplicity`` wrap the Sturm API and the right
-chain for the tests that need them.  All stay deliberately separate from
-the exact code paths they are used to check.
+chain for the tests that need them, and ``mirror``, ``negate`` and
+``shift`` move a polynomial or an algebraic number to ``-x`` or ``x + d``.
+All stay deliberately separate from the exact code paths they are used to
+check.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -49,10 +54,11 @@ from sigmak.errors import (
 )
 from sigmak.poly import Poly, SturmChain, derivative, sturm_chain, taylor_shift, yun_decomposition
 from sigmak.poly import evaluate as poly_evaluate
-from sigmak.presets import _raw_mpf_to_fraction
+from sigmak.presets import _raw_mpf_to_fraction, hessian_type, j_equation, monge_ampere, nonneg_coeff
 from sigmak.rationals import sign
 from sigmak.realroots import (
     AlgebraicNumber,
+    IsolatingInterval,
     _bisect_once,
     _shares_root,
     from_rational,
@@ -60,6 +66,40 @@ from sigmak.realroots import (
     sign_at,
 )
 from sigmak.rootchain import ChainCertificate, ChainVerdict, _normalize, certify_right
+
+
+ROOT = Path(__file__).resolve().parents[1]
+EX11_C = ("-20", "9", "-64", "19", "0")
+EX12_C = ("-24", "-2", "65", "19", "0")
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded from its file: the certify-highdeg family generator."""
+    spec = importlib.util.spec_from_file_location("_bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_equations(seed: int, degrees) -> list[SigmaKPolynomial]:
+    """EX11, EX12, the exact presets and the certify-highdeg families at each degree.
+
+    The family members are drawn in order from ``random.Random(seed)``.
+    """
+    fs = [
+        SigmaKPolynomial(5, tuple(Fraction(v) for v in EX11_C)),
+        SigmaKPolynomial(5, tuple(Fraction(v) for v in EX12_C)),
+        monge_ampere(3, Fraction(1)),
+        j_equation(4, Fraction(2)),
+        hessian_type(4, 1, Fraction(3)),
+        nonneg_coeff(4, [Fraction(1), Fraction(2), Fraction(3)], Fraction(-5)).equation,
+    ]
+    workloads = bench_workloads()
+    rng = random.Random(seed)
+    for n in degrees:
+        for family in workloads.CertifyHighdeg.families:
+            fs.append(SigmaKPolynomial(n, workloads.family_equation(rng, n, family)))
+    return fs
 
 
 class NoRealRoot(SigmaKError):
@@ -394,6 +434,33 @@ def count_real_roots_with_multiplicity(p: Poly) -> int:
     return total
 
 
+def mirror(p: Poly) -> Poly:
+    """p(-x)."""
+    return Poly([c if k % 2 == 0 else -c for k, c in enumerate(p.coeffs)])
+
+
+def negate(alpha: AlgebraicNumber) -> AlgebraicNumber:
+    """The number ``-alpha``."""
+    mirrored = mirror(alpha.defining)
+    if mirrored.lc < 0:
+        mirrored = -mirrored
+    return AlgebraicNumber(
+        mirrored,
+        IsolatingInterval(-alpha.interval.hi, -alpha.interval.lo),
+        alpha.multiplicity_in_source,
+    )
+
+
+def shift(alpha: AlgebraicNumber, delta: Fraction) -> AlgebraicNumber:
+    """The number ``alpha + delta``."""
+    delta = Fraction(delta)
+    return AlgebraicNumber(
+        taylor_shift(alpha.defining, -delta),
+        IsolatingInterval(alpha.interval.lo + delta, alpha.interval.hi + delta),
+        alpha.multiplicity_in_source,
+    )
+
+
 def certify_left(p: Poly) -> ChainCertificate:
     """Mirror test: left chain of ``p`` equals the right chain of ``p(-x)``.
 
@@ -403,11 +470,11 @@ def certify_left(p: Poly) -> ChainCertificate:
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooLow("chain certification needs degree >= 1")
-    cert = certify_right(_normalize(p.mirror()))
+    cert = certify_right(_normalize(mirror(p)))
     return ChainCertificate(
         verdict=cert.verdict,
         polynomial=_normalize(p),
-        chain=tuple(a.negate() if a is not None else None for a in cert.chain),
+        chain=tuple(negate(a) if a is not None else None for a in cert.chain),
         signs=cert.signs,
         failure_level=cert.failure_level,
         missing_root=cert.missing_root,

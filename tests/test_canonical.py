@@ -10,10 +10,8 @@ Regenerate the golden only for an intended change of canonical output:
 
 import contextlib
 import dataclasses
-import importlib.util
 import io
 import json
-import random
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -22,10 +20,10 @@ from pathlib import Path
 from sigmak import equations
 from sigmak.cli import canonical_body, main
 from sigmak.equations import SigmaKPolynomial, certify_stable, sample_region
-from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
 from sigmak.realroots import approx, bracket, refine
 
-ROOT = Path(__file__).resolve().parents[1]
+from _oracles import corpus_equations
+
 GOLDEN = Path(__file__).with_name("canonical_golden.json")
 EX11 = {"n": 5, "c": ["-20", "9", "-64", "19", "0"]}
 EX12 = {"n": 5, "c": ["-24", "-2", "65", "19", "0"]}
@@ -78,29 +76,9 @@ def test_canonical_bodies_match_golden(tmp_path):
     assert _golden_text(canonical_bodies(tmp_path)) == GOLDEN.read_text(encoding="utf-8")
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("_bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _corpus_chains():
     """Chains of EX11, EX12, the exact presets and the certify-highdeg families at degrees 5 and 8."""
-    fs = [
-        SigmaKPolynomial(5, tuple(F(v) for v in EX11["c"])),
-        SigmaKPolynomial(5, tuple(F(v) for v in EX12["c"])),
-        monge_ampere(3, F(1)),
-        j_equation(4, F(2)),
-        hessian_type(4, 1, F(3)),
-        nonneg_coeff(4, [F(1), F(2), F(3)], F(-5)).equation,
-    ]
-    workloads = _load_workloads()
-    rng = random.Random(20)
-    for n in (5, 8):
-        for family in workloads.CertifyHighdeg.families:
-            fs.append(SigmaKPolynomial(n, workloads.family_equation(rng, n, family)))
-    return [certify_stable(f).certificate.chain for f in fs]
+    return [certify_stable(f).certificate.chain for f in corpus_equations(20, (5, 8))]
 
 
 def test_bracket_and_approx_ignore_the_interval():

@@ -1,23 +1,35 @@
 """The integer kernels against their Fraction references.
 
 ``realroots.bracket`` bisects an integer polynomial in the decimal grid
-index, and ``poly.remainder_sequence`` and ``poly.poly_gcd`` run one signed
-integer pseudo-remainder loop.  The references in ``_oracles`` bisect and
-divide in ``Fraction`` arithmetic; results must be equal, not just close.
+index, ``poly.remainder_sequence`` and ``poly.poly_gcd`` run one signed
+integer pseudo-remainder loop, and ``rootchain.certify_right`` decides its
+signs on the integer derivative ladder.  The references in ``_oracles`` and
+here bisect, divide and evaluate in ``Fraction`` arithmetic; results must be
+equal, not just close.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import sigmak.poly as poly
 import sigmak.realroots as realroots
+import sigmak.rootchain as rootchain
 from sigmak.equations import SigmaKPolynomial, certify_stable, diagonal_restriction
-from sigmak.poly import Poly, derivative, poly_gcd, remainder_sequence
+from sigmak.poly import Poly, _primitive_ints, derivative, evaluate, poly_gcd, remainder_sequence
+from sigmak.rationals import sign
 from sigmak.realroots import AlgebraicNumber, IsolatingInterval, bracket, isolate_real_roots
+from sigmak.rootchain import _ladder, _normalize, _tangent_bound, _value, certify_right
 
-from _oracles import bracket_by_fractions, gcd_by_division, remainder_sequence_by_division
+from _oracles import (
+    bracket_by_fractions,
+    corpus_equations,
+    gcd_by_division,
+    remainder_sequence_by_division,
+)
 
 DIGITS = (0, 3, 12, 100)
 
@@ -230,3 +242,158 @@ class TestRemainderLoop:
         for p, q, chain, g in cases:
             assert remainder_sequence(p).chain == chain
             assert poly_gcd(p, q) == g
+
+
+def value_by_fractions(q, x):
+    """``den(x)**deg q * q(x)`` by ``Fraction`` Horner."""
+    return evaluate(Poly(q), x) * x.denominator ** (len(q) - 1)
+
+
+def tangent_by_fractions(q, lo, hi):
+    """``q(hi) - q'(hi) * (hi - lo)`` by ``Fraction`` Horner, times the positive factor of ``_tangent_bound``."""
+    p = Poly(q)
+    bound = evaluate(p, hi) - evaluate(derivative(p), hi) * (hi - lo)
+    return bound * hi.denominator ** (len(q) - 1) * (hi - lo).denominator
+
+
+def random_point(rng, scale=1):
+    """Zero, negative and positive rationals, with denominators sharing 2 and 3 with the coefficients."""
+    den = rng.choice([1, 2, 3, 4, 6, 9, 12, 7, 2**10])
+    return F(rng.randint(-40, 40), den) * scale
+
+
+def integer_forms(rng, exponent=0):
+    """Primitive integer forms of random polynomials of degree 1 to 8, coefficients and roots scaled by ``2**exponent``."""
+    for _ in range(40):
+        p = random_poly(rng, rational=True, sparse=True)
+        if exponent and rng.random() < 0.5:
+            p = p.scale(F(2) ** exponent)
+        elif exponent:
+            p = Poly([c * F(2) ** (-exponent * i) for i, c in enumerate(p.coeffs)])
+        yield p, _primitive_ints(p)
+
+
+class TestChainKernel:
+    @pytest.mark.parametrize("exponent", [0, 200, -200])
+    def test_value_is_scaled_horner(self, exponent):
+        rng = random.Random(950 + exponent)
+        zeros = 0
+        for p, q in integer_forms(rng, exponent):
+            points = [F(0), random_point(rng), random_point(rng, F(2) ** exponent)]
+            # exact roots: the rational roots of p itself, hit exactly
+            points += [a.interval.lo for a in isolate_real_roots(p) if a.is_rational]
+            for x in points:
+                got = _value(q, x)
+                assert got == value_by_fractions(q, x), (q, x)
+                assert sign(got) == sign(evaluate(p, x))
+                zeros += got == 0
+        assert zeros >= 20
+
+    def test_value_degree_one_and_constants(self):
+        for q, x, want in (([3, 2], F(-3, 2), 0), ([3, 2], F(5, 4), 22), ([-7, 1], F(0), -7),
+                           ([5], F(-1, 9), 5), ([0, 6], F(2, 3), 12)):
+            assert _value(q, x) == want
+
+    @pytest.mark.parametrize("exponent", [0, 200, -200])
+    def test_tangent_bound_is_scaled(self, exponent):
+        rng = random.Random(960 + exponent)
+        signs = set()
+        for p, q in integer_forms(rng, exponent):
+            if len(q) < 2:
+                continue
+            ladder, slopes = _ladder(Poly(q))
+            dq, slope = (ladder[1], slopes[0]) if len(ladder) > 1 else ([q[1]], 1)
+            for _ in range(4):
+                lo = random_point(rng, F(2) ** exponent)
+                hi = lo + abs(random_point(rng, F(2) ** exponent)) + F(1, 3)
+                got = _tangent_bound(_value(q, hi), dq, slope, lo, hi)
+                assert got == tangent_by_fractions(q, lo, hi), (q, lo, hi)
+                signs.add(sign(got))
+        assert signs == {-1, 1}
+
+    @pytest.mark.parametrize("exponent", [0, 200, -200])
+    def test_ladder_is_the_derivatives(self, exponent):
+        rng = random.Random(970 + exponent)
+        for p, _ in integer_forms(rng, exponent):
+            p = _normalize(p)
+            ladder, slopes = _ladder(p)
+            assert len(ladder) == int(p.degree) and len(slopes) == len(ladder) - 1
+            for k, q in enumerate(ladder):
+                assert math.gcd(*q) == 1
+                ratio = F(q[-1]) / derivative(p, k).lc
+                assert ratio > 0 and Poly(q) == derivative(p, k).scale(ratio)
+            for k, slope in enumerate(slopes):
+                assert derivative(Poly(ladder[k])) == Poly(ladder[k + 1]).scale(slope)
+
+    def test_decisions_at_visited_points(self, monkeypatch):
+        # every sign and tangent bound certify_right decides on the bench
+        # families, decided again on the Fraction derivatives of p
+        values, tangents = [], []
+        value, tangent = rootchain._value, rootchain._tangent_bound
+
+        def recorded_value(q, x):
+            out = value(q, x)
+            values.append((len(q) - 1, x, out))
+            return out
+
+        def recorded_tangent(q_hi, dq, slope, lo, hi):
+            out = tangent(q_hi, dq, slope, lo, hi)
+            tangents.append((len(dq), q_hi, lo, hi, out))
+            return out
+
+        monkeypatch.setattr(rootchain, "_value", recorded_value)
+        monkeypatch.setattr(rootchain, "_tangent_bound", recorded_tangent)
+        seen = {"value": set(), "tangent": set()}
+        for f in corpus_equations(3, (5, 8, 12, 16, 24, 32)):
+            p = _normalize(diagonal_restriction(f))
+            n = int(p.degree)
+            ders = [derivative(p, k) for k in range(n + 1)]
+            values.clear()
+            tangents.clear()
+            certify_right(p)
+            for degree, x, out in values:
+                assert sign(out) == sign(evaluate(ders[n - degree], x)), (f, degree, x)
+                seen["value"].add(sign(out))
+            for length, q_hi, lo, hi, out in tangents:
+                k = n - length  # dq is p^(k+1), of degree n - k - 1
+                assert sign(q_hi) == sign(evaluate(ders[k], hi))
+                bound = evaluate(ders[k], hi) - evaluate(ders[k + 1], hi) * (hi - lo)
+                assert sign(out) == sign(bound), (f, k, lo, hi)
+                seen["tangent"].add(sign(out))
+        assert seen == {"value": {-1, 0, 1}, "tangent": {-1, 1}}
+
+    def test_kept_lower_end_signs(self):
+        # the sign each chain root keeps is the one bracket and refine would evaluate
+        kept = 0
+        for f in corpus_equations(4, (5, 8, 12, 16)):
+            for alpha in certify_right(diagonal_restriction(f)).chain:
+                if alpha is None or alpha.is_rational:
+                    continue
+                assert "_sign_lo" in vars(alpha)
+                assert alpha._sign_lo == sign(evaluate(alpha.defining, alpha.interval.lo))
+                kept += 1
+        assert kept > 100
+
+    def test_no_fraction_derivative_monic_or_evaluate(self, monkeypatch):
+        # certify_right builds the ladder on integers and never calls these;
+        # the gcd and remainder sequence under it may
+        cases = [diagonal_restriction(f) for f in corpus_equations(5, (5, 8, 12))]
+        cases += [Poly([16, 8, 1]) * Poly([1, 0, 1]), Poly([0, 0, 0, 1]), Poly([F(7, 3), -1])]
+        want = [certify_right(p) for p in cases]
+
+        def refuse_in_rootchain(original):
+            def guarded(*args, **kwargs):
+                if sys._getframe(1).f_globals.get("__name__") == rootchain.__name__:
+                    raise AssertionError(f"rootchain called {original.__name__}")
+                return original(*args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(Poly, "monic", refuse_in_rootchain(Poly.monic))
+        for name in ("derivative", "evaluate"):
+            guarded = refuse_in_rootchain(getattr(poly, name))
+            monkeypatch.setattr(poly, name, guarded)
+            monkeypatch.setattr(rootchain, name, guarded, raising=False)
+        got = [certify_right(p) for p in cases]
+        assert got == want
+        assert any(c.missing_root for c in got) and any(0 in c.signs for c in got)

@@ -6,7 +6,7 @@ import pytest
 from sigmak.analysis import deformation
 from sigmak.equations import SigmaKPolynomial, StabilityVerdict, certify_stable, dominates
 from sigmak.errors import ZeroPolynomial
-from sigmak.poly import Poly, SturmChain, derivative, resultant
+from sigmak.poly import Poly, SturmChain, _primitive_ints, derivative, resultant
 from sigmak.presets import (
     DhymSpec,
     dhym,
@@ -29,7 +29,7 @@ from sigmak.realroots import (
     rounded,
     sign_at,
 )
-from sigmak.rootchain import _root_above
+from sigmak.rootchain import _root_above as _root_above_ints
 
 from _oracles import closed_form_criterion, distinct_real_roots
 
@@ -38,6 +38,11 @@ EX21_QUINTIC = Poly([24, 10, -650, -190, 0, 1])
 FIG2_QUARTIC = Poly([1275, -260, -24, 0, 1])
 EX11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
 EX12 = SigmaKPolynomial(5, (F(-24), F(-2), F(65), F(19), F(0)))
+
+
+def _root_above(q: Poly, start):
+    """``rootchain._root_above`` on the integer form of ``q``, as the certifier calls it."""
+    return _root_above_ints(_primitive_ints(q), start)
 
 
 def random_int_poly(rng, max_degree=8, span=9):

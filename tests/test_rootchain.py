@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import sigmak.rootchain as rootchain
 from sigmak.equations import (
     SigmaKPolynomial,
     StabilityVerdict,
@@ -21,10 +22,13 @@ from _oracles import (
     NoRealRoot,
     certify_left,
     certify_right_by_isolation,
+    corpus_equations,
     float_chain_verdict,
     is_real_rooted,
+    mirror,
     multiplicity_at_largest_root,
     near_tie,
+    negate,
 )
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
@@ -121,10 +125,44 @@ class TestCertifyLeft:
         rng = random.Random(31)
         for _ in range(40):
             p = random_int_poly(rng)
-            mirrored = p.mirror()
+            mirrored = mirror(p)
             if mirrored.lc < 0:
                 mirrored = -mirrored
             assert certify_left(p).verdict == certify_right(mirrored).verdict
+
+
+class TestCostCounters:
+    """Cost that no verdict shows: one zero test per tie level, no needless remainder sequence."""
+
+    def test_zero_tests_and_remainder_sequences(self, monkeypatch):
+        zero_tests, sequences = [], []
+        shares_root, remainder_sequence = rootchain._shares_root, rootchain.remainder_sequence
+
+        def counted_zero_test(q, defining, lo, hi):
+            zero_tests.append(int(q.degree))
+            return shares_root(q, defining, lo, hi)
+
+        def counted_sequence(q):
+            sequences.append(q)
+            return remainder_sequence(q)
+
+        monkeypatch.setattr(rootchain, "_shares_root", counted_zero_test)
+        monkeypatch.setattr(rootchain, "remainder_sequence", counted_sequence)
+        ties = missing = failed = 0
+        for seed in (1, 2):
+            for f in corpus_equations(seed, (5, 8, 12, 16, 24, 32)):
+                zero_tests.clear()
+                sequences.clear()
+                cert = certify_right(diagonal_restriction(f))
+                # the zero test at level k gets p^(k), of degree n - k
+                levels = [f.n - d for d in zero_tests]
+                assert len(levels) == len(set(levels)), (f, levels)
+                assert all(cert.signs[k] == 0 for k in levels), (f, levels, cert.signs)
+                assert len(sequences) == int(cert.missing_root), f
+                ties += len(levels)
+                failed += cert.failure_level is not None
+                missing += cert.missing_root
+        assert ties >= 4 and missing >= 4 and failed >= 2 * missing
 
 
 class TestRealRooted:
@@ -237,7 +275,7 @@ def assert_same_certificate(cert, reference, mirrored=False):
     assert [a is None for a in cert.chain] == [b is None for b in reference.chain]
     for a, b in zip(cert.chain, reference.chain):
         if a is not None:
-            assert compare(a, b.negate() if mirrored else b) is Order.EQUAL
+            assert compare(a, negate(b) if mirrored else b) is Order.EQUAL
 
 
 def assert_isolates_simple_roots(cert):
@@ -262,7 +300,7 @@ def assert_matches_isolation(p):
     assert_same_certificate(right, certify_right_by_isolation(p))
     assert_isolates_simple_roots(right)
     left = certify_left(p)
-    assert_same_certificate(left, certify_right_by_isolation(p.mirror()), mirrored=True)
+    assert_same_certificate(left, certify_right_by_isolation(mirror(p)), mirrored=True)
     assert_isolates_simple_roots(left)
 
 
