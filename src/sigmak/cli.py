@@ -501,6 +501,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError:
+        # a float report (convexity pairs, ratio and deformation profiles) of huge values
+        print("error: a value of this input is outside the float range", file=sys.stderr)
+        return EXIT_USAGE
     except SigmaKError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -2,11 +2,12 @@
 
 A real algebraic number is a defining polynomial together with a rational
 isolating interval containing exactly one of its roots, a simple one.
-Every query below is decided exactly.  The decision paths (``compare``
-and the chain certifier) bisect by sign and settle a tie with one zero
-test, ``_shares_root``; a rational is compared by one evaluation.
-``isolate_real_roots`` and ``sign_at`` are the Sturm-based general API and
-the tests' independent reference.
+Every query below is decided exactly.  One loop, ``_narrowing``, bisects a
+number's interval; ``refine``, ``sign_at``, ``compare`` and the chain
+certifier iterate it.  The decision paths (``compare`` and the chain
+certifier) settle a tie with one zero test, ``_shares_root``; a rational is
+compared by one evaluation.  ``isolate_real_roots`` and ``sign_at`` are the
+Sturm-based general API and the tests' independent reference.
 
 ``bracket`` is the only way a root becomes a rational: the decimal grid
 points next to it, which depend on the number alone and never on how far
@@ -78,6 +79,10 @@ class AlgebraicNumber:
     otherwise it lies strictly inside, where ``defining`` changes sign.
     ``multiplicity_in_source`` records the multiplicity the root had in the
     polynomial it was isolated from.
+
+    The sign of ``defining`` at ``interval.lo`` is evaluated on first use;
+    only ``_root_with_sign`` stores one already proved.  It is no field, so
+    ``dataclasses.replace`` cannot carry it to another ``defining``.
     """
 
     defining: Poly
@@ -136,21 +141,45 @@ def _bisect_once(q: Poly, lo: Fraction, hi: Fraction, sign_lo: int):
     return lo, mid, sign_lo
 
 
+def _narrowing(alpha: AlgebraicNumber):
+    """``(lo, hi, sign_lo)`` for ``alpha``'s interval, then for each bisection of it.
+
+    ``sign_lo`` is the sign of ``defining`` at ``lo`` until a bisection
+    lands on the root; that point is then yielded forever.
+    """
+    q, lo, hi = alpha.defining, alpha.interval.lo, alpha.interval.hi
+    s_lo = alpha._sign_lo if lo != hi else 0
+    while True:
+        yield lo, hi, s_lo
+        if lo != hi:
+            lo, hi, s_lo = _bisect_once(q, lo, hi, s_lo)
+
+
+def _root_with_sign(
+    defining: Poly, lo: Fraction, hi: Fraction, sign_lo: int, multiplicity: int = 1
+) -> AlgebraicNumber:
+    """The root of ``defining`` in ``[lo, hi]``, keeping ``sign_lo``, its proved sign at ``lo``.
+
+    A known root on a narrowed interval, or a new one whose bracket proved
+    the sign.  A point keeps no sign.
+    """
+    alpha = AlgebraicNumber(defining, IsolatingInterval(lo, hi), multiplicity)
+    if lo != hi:
+        # the slot of the cached property ``_sign_lo``, which would evaluate it again
+        vars(alpha)["_sign_lo"] = sign_lo
+    return alpha
+
+
 def refine(alpha: AlgebraicNumber, eps) -> AlgebraicNumber:
     """Same root, interval width <= eps.  Each step at least halves the width."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lo, hi = alpha.interval.lo, alpha.interval.hi
-    if hi - lo <= eps:
+    if alpha.interval.width <= eps:
         return alpha
-    q = alpha.defining
-    s_lo = alpha._sign_lo
-    while hi - lo > eps:
-        lo, hi, s_lo = _bisect_once(q, lo, hi, s_lo)
-        if lo == hi:
-            break
-    return AlgebraicNumber(q, IsolatingInterval(lo, hi), alpha.multiplicity_in_source)
+    for lo, hi, s_lo in _narrowing(alpha):
+        if hi - lo <= eps:
+            return _root_with_sign(alpha.defining, lo, hi, s_lo, alpha.multiplicity_in_source)
 
 
 def isolate_real_roots(p: Poly) -> list[AlgebraicNumber]:
@@ -243,18 +272,14 @@ def sign_at(p: Poly, alpha: AlgebraicNumber) -> int:
     g = poly_gcd(p, alpha.defining)
     if g.degree >= 1 and sturm_chain(g).count(alpha.interval.lo, alpha.interval.hi) >= 1:
         return 0
-    lo, hi = alpha.interval.lo, alpha.interval.hi
-    s_lo = alpha._sign_lo
-    q = alpha.defining
-    while True:
+    for lo, hi, _ in _narrowing(alpha):
+        if lo == hi:
+            return sign(evaluate(p, lo))
         vlo, vhi = p.eval_interval(lo, hi)
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
-        lo, hi, s_lo = _bisect_once(q, lo, hi, s_lo)
-        if lo == hi:
-            return sign(evaluate(p, lo))
 
 
 def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
@@ -281,19 +306,12 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
     # the overlap's ends are interval ends, where a defining polynomial is nonzero
     if _shares_root(alpha.defining, beta.defining, max(a_lo, b_lo), min(a_hi, b_hi)):
         return Order.EQUAL
-    sa, sb = alpha._sign_lo, beta._sign_lo
-    qa, qb = alpha.defining, beta.defining
-    while True:
-        a_lo, a_hi, sa = _bisect_once(qa, a_lo, a_hi, sa)
-        b_lo, b_hi, sb = _bisect_once(qb, b_lo, b_hi, sb)
-        if a_hi < b_lo or (a_lo == a_hi and a_lo < b_lo):
+    # the narrowings shrink to the two distinct roots, which separates them
+    for (a_lo, a_hi, _), (b_lo, b_hi, _) in zip(_narrowing(alpha), _narrowing(beta)):
+        if a_hi < b_lo:
             return Order.LESS
-        if b_hi < a_lo or (b_lo == b_hi and b_lo < a_lo):
+        if b_hi < a_lo:
             return Order.GREATER
-        if a_lo == a_hi and b_lo == b_hi:
-            if a_lo == b_lo:
-                return Order.EQUAL
-            return Order.LESS if a_lo < b_lo else Order.GREATER
 
 
 def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:

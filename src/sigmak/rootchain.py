@@ -42,9 +42,11 @@ Every sign the chain decides runs on integers.  The derivative ladder is
 built once as primitive integer coefficient lists, each a positive multiple
 of ``p^(k)``, and a sign at ``x = N/D`` is the sign of the integer
 ``D^d * Q(N/D)``.  The tangent bound is multiplied through by its positive
-denominators the same way.  A root keeps the sign at its lower end that the
-certifier has proved: -1 for the root found above ``x_{k+1}``, and the
-bisection's own for a narrowed interval.
+denominators the same way; only the narrowing of ``x_{k+1}``'s interval
+still bisects in ``Fraction``.  Every root keeps the lower-end sign the
+certifier proved, through ``realroots._root_with_sign``: -1 for the root
+found above ``x_{k+1}``, defined by the ladder entry of ``p^(k)``, and the
+narrowing's own for a narrowed interval and a tie's repeated root.
 
 At a failure level ``p^(k)(x_{k+1}) > 0`` is proved, so any ``w`` with
 ``p^(k)(w) <= 0`` witnesses a real root in ``[w, x_{k+1})``.  An odd
@@ -68,8 +70,8 @@ from .poly import Poly, _primitive_ints, remainder_sequence
 from .rationals import sign
 from .realroots import (
     AlgebraicNumber,
-    IsolatingInterval,
-    _bisect_once,
+    _narrowing,
+    _root_with_sign,
     _shares_root,
     bracket,
     from_rational,
@@ -165,47 +167,27 @@ def _tangent_bound(q_hi: int, dq: list[int], slope: int, lo: Fraction, hi: Fract
     return q_hi * width.denominator - slope * dq_hi * width.numerator
 
 
-def _root(
-    defining: Poly, lo: Fraction, hi: Fraction, s_lo: int, multiplicity: int = 1
-) -> AlgebraicNumber:
-    """The root of ``defining`` in ``[lo, hi]``, keeping the sign ``s_lo`` already proved at ``lo``."""
-    alpha = AlgebraicNumber(defining, IsolatingInterval(lo, hi), multiplicity)
-    if lo != hi:
-        # the slot of the cached property ``_sign_lo``, which would evaluate it again
-        vars(alpha)["_sign_lo"] = s_lo
-    return alpha
-
-
 def _sign_at_increasing(
     q: list[int], dq: list[int], slope: int, alpha: AlgebraicNumber
-) -> tuple[int, AlgebraicNumber]:
+) -> tuple[int, Fraction, Fraction, int]:
     """Exact sign of ``q`` at ``alpha``, for ``q`` strictly increasing and convex on ``[alpha, oo)``.
 
     ``q`` and ``dq`` are integer forms with ``q' = slope * dq``.  Also
-    returns ``alpha`` with its interval narrowed by the bisection that
-    decided the sign; on a negative sign ``q`` is ``<= 0`` at its upper end.
+    returns the narrowing ``(lo, hi, sign_lo)`` of ``alpha`` that decided
+    the sign; on a negative sign ``q`` is ``<= 0`` at ``hi``.
     """
-    if alpha.is_rational:
-        return sign(_value(q, alpha.rational_value)), alpha
-    defining = alpha.defining
-    lo, hi, s_lo = alpha.interval.lo, alpha.interval.hi, alpha._sign_lo
-    steps = 0
-    while lo != hi:
-        q_hi = _value(q, hi)
-        if q_hi <= 0:
+    for steps, (lo, hi, s_lo) in enumerate(_narrowing(alpha)):
+        if lo == hi:
+            s = sign(_value(q, lo))
+        elif (q_hi := _value(q, hi)) <= 0:
             s = -1
-            break
-        if _tangent_bound(q_hi, dq, slope, lo, hi) > 0:
+        elif _tangent_bound(q_hi, dq, slope, lo, hi) > 0:
             s = 1
-            break
-        if steps == _STEPS_BEFORE_ZERO_TEST and _shares_root(Poly(q), defining, lo, hi):
+        elif steps == _STEPS_BEFORE_ZERO_TEST and _shares_root(Poly(q), alpha.defining, lo, hi):
             s = 0
-            break
-        lo, hi, s_lo = _bisect_once(defining, lo, hi, s_lo)
-        steps += 1
-    else:
-        s = sign(_value(q, lo))
-    return s, _root(defining, lo, hi, s_lo, alpha.multiplicity_in_source)
+        else:
+            continue
+        return s, lo, hi, s_lo
 
 
 def _root_above(q: list[int], start: Fraction) -> AlgebraicNumber:
@@ -222,8 +204,7 @@ def _root_above(q: list[int], start: Fraction) -> AlgebraicNumber:
         hi = num + width
         value = _value(q, Fraction(hi, den))
         if value > 0:
-            monic = Poly([Fraction(c, q[-1]) for c in q])
-            return _root(monic, Fraction(num, den), Fraction(hi, den), -1)
+            return _root_with_sign(Poly(q), Fraction(num, den), Fraction(hi, den), -1)
         num, width = hi, 2 * width
     return from_rational(Fraction(num, den))
 
@@ -255,8 +236,10 @@ def certify_right(p: Poly) -> ChainCertificate:
     chain[n - 1] = from_rational(Fraction(-lin[0], lin[1]))
 
     for k in range(n - 2, -1, -1):
-        s, below = _sign_at_increasing(ladder[k], ladder[k + 1], slopes[k], chain[k + 1])
-        chain[k + 1] = below
+        alpha = chain[k + 1]
+        s, lo, hi, s_lo = _sign_at_increasing(ladder[k], ladder[k + 1], slopes[k], alpha)
+        multiplicity = alpha.multiplicity_in_source
+        chain[k + 1] = _root_with_sign(alpha.defining, lo, hi, s_lo, multiplicity)
         signs[k] = s
         if s > 0:
             return ChainCertificate(
@@ -268,11 +251,9 @@ def certify_right(p: Poly) -> ChainCertificate:
                 missing_root=_has_no_real_root(ladder[k], chain[k + 1 :]),
             )
         if s == 0:
-            lo, hi = below.interval.lo, below.interval.hi
-            s_lo = 0 if lo == hi else below._sign_lo  # a point keeps no sign
-            chain[k] = _root(below.defining, lo, hi, s_lo, below.multiplicity_in_source + 1)
+            chain[k] = _root_with_sign(alpha.defining, lo, hi, s_lo, multiplicity + 1)
         else:
-            chain[k] = _root_above(ladder[k], below.interval.hi)
+            chain[k] = _root_above(ladder[k], hi)
 
     if n == 1:
         verdict = ChainVerdict.STRICT

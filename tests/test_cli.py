@@ -549,6 +549,24 @@ class TestMalformedInput:
         assert code == 2 and out == "" and err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--convexity-pairs", "1"],
+            ["alpha", "--range", "0:1", "--samples", "2"],
+            ["deform", "--samples", "2"],
+        ],
+        ids=["certify-convexity-pairs", "alpha", "deform"],
+    )
+    def test_float_report_of_huge_coefficients(self, tmp_path, capsys, argv):
+        # the exact certificate holds, its float profile leaves the float range
+        path = write_json(tmp_path / "f.json", {"n": 2, "c": ["1e1600", "0"]})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        code, out, _ = run(capsys, "certify", path)
+        assert code == 0 and json.loads(out)["verdict"] == "strictly-stable-convex"
+
     @pytest.mark.parametrize("bounds", ["12:inf", "-inf:12"])
     def test_alpha_infinite_range(self, tmp_path, capsys, bounds):
         path = write_json(tmp_path / "f.json", EX11)

@@ -374,6 +374,39 @@ class TestChainKernel:
                 kept += 1
         assert kept > 100
 
+    def test_refine_keeps_the_lower_end_sign(self, monkeypatch):
+        # bracket of a refined chain root evaluates nothing, and compare with a
+        # rational inside it evaluates only there, never the sign at lo again
+        roots = [
+            alpha
+            for f in corpus_equations(6, (5, 8, 12, 16))
+            for alpha in certify_right(diagonal_restriction(f)).chain
+            if alpha is not None and not alpha.is_rational
+        ]
+        tight = [realroots.refine(alpha, F(1, 10**6)) for alpha in roots]
+        calls = []
+        original = realroots.evaluate
+
+        def counted(p, x):
+            calls.append(x)
+            return original(p, x)
+
+        monkeypatch.setattr(realroots, "evaluate", counted)
+        refined = 0
+        for alpha, narrow in zip(roots, tight):
+            calls.clear()
+            bracket(narrow, 6)
+            assert calls == []
+            mid = narrow.interval.midpoint()
+            realroots.compare(narrow, realroots.from_rational(mid))
+            # a refinement that lands on a rational root compares without evaluating
+            assert calls == ([] if narrow.is_rational else [mid])
+            refined += narrow.interval != alpha.interval
+            # a carried sign is not part of the number
+            fresh = AlgebraicNumber(narrow.defining, narrow.interval, narrow.multiplicity_in_source)
+            assert fresh == narrow and hash(fresh) == hash(narrow)
+        assert refined > 100
+
     def test_no_fraction_derivative_monic_or_evaluate(self, monkeypatch):
         # certify_right builds the ladder on integers and never calls these;
         # the gcd and remainder sequence under it may

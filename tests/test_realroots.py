@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import sigmak.realroots as realroots
 from sigmak.analysis import deformation
 from sigmak.equations import SigmaKPolynomial, StabilityVerdict, certify_stable, dominates
 from sigmak.errors import ZeroPolynomial
@@ -160,6 +161,21 @@ class TestSignAt:
         x1 = largest_real_root(derivative(FIG1_QUINTIC))
         assert sign_at(FIG1_QUINTIC, x1) == -1
 
+    def test_decided_on_the_isolating_interval(self, monkeypatch):
+        # x + 10 is positive on sqrt(2)'s interval, so nothing is bisected:
+        # at most the sign at the lower end is evaluated
+        sqrt2 = largest_real_root(Poly([-2, 0, 1]))
+        calls = []
+        original = realroots.evaluate
+
+        def counted(p, x):
+            calls.append(x)
+            return original(p, x)
+
+        monkeypatch.setattr(realroots, "evaluate", counted)
+        assert sign_at(Poly([10, 1]), sqrt2) == 1
+        assert set(calls) <= {sqrt2.interval.lo}
+
     def test_zero_iff_shared_root_in_interval(self):
         rng = random.Random(24)
         for _ in range(25):
@@ -262,6 +278,14 @@ class TestCompareWithRational:
         assert compare(wide, half) is Order.GREATER
         other = AlgebraicNumber(Poly([-4, 0, 2]), IsolatingInterval(F(5, 4), F(2)))
         assert compare(s2, other) is Order.EQUAL
+
+    def test_both_narrowings_land_on_rational_roots(self):
+        # the first bisection pins 1/2 while the other interval is [1/2, 1];
+        # the point stays while the other narrows until it lands on 5/8
+        half = AlgebraicNumber(Poly([-1, 2]), IsolatingInterval(F(0), F(1)))
+        five_eighths = AlgebraicNumber(Poly([-5, 8]), IsolatingInterval(F(0), F(1)))
+        assert compare(half, five_eighths) is Order.LESS
+        assert compare(five_eighths, half) is Order.GREATER
 
 
 class TestOneZeroTest:

@@ -3,8 +3,10 @@
 For the real-rooted, not-stable and no-real-root families of the
 certify-highdeg workload (generated by ``bench/workloads.py``), prints the
 median over seeds 1-3 of ``certify_right`` plus one ``bracket(alg, 6)`` per
-chain root, which is the compute of ``sigmak certify --digits 3``.  The
-output is a Markdown table.  Run from anywhere: ``python tools/chain_timing.py``.
+chain root, which is the compute of ``sigmak certify --digits 3``.  A
+second table gives the median over the same chains' roots of one
+``refine(alg, 1e-6)``, the narrowing the certify-highdeg op times.  The
+output is Markdown.  Run from anywhere: ``python tools/chain_timing.py``.
 """
 
 import importlib.util
@@ -13,13 +15,14 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from sigmak.equations import SigmaKPolynomial, diagonal_restriction  # noqa: E402
-from sigmak.realroots import bracket  # noqa: E402
+from sigmak.realroots import bracket, refine  # noqa: E402
 from sigmak.rootchain import certify_right  # noqa: E402
 
 FAMILIES = ("real-rooted", "not-stable", "no-real-root")
@@ -34,30 +37,50 @@ def load_workloads():
     return module
 
 
-def certify_ms(p) -> float:
+def certify_ms(p) -> tuple[float, list]:
+    """Time of ``certify_right(p)`` plus its brackets, and the chain's roots."""
     start = time.perf_counter()
-    for alg in certify_right(p).chain:
-        if alg is not None:
-            bracket(alg, 6)
+    roots = [alg for alg in certify_right(p).chain if alg is not None]
+    for alg in roots:
+        bracket(alg, 6)
+    return 1000 * (time.perf_counter() - start), roots
+
+
+def refine_ms(alg) -> float:
+    start = time.perf_counter()
+    refine(alg, Fraction(1, 10**6))
     return 1000 * (time.perf_counter() - start)
+
+
+def print_table(title, rows, digits):
+    print(title)
+    print()
+    print("| degree | " + " | ".join(FAMILIES) + " |")
+    print("|---|" + "---|" * len(FAMILIES))
+    for n, cells in rows:
+        print(f"| d{n} | " + " | ".join(f"{ms:.{digits}f} ms" for ms in cells) + " |")
 
 
 def main():
     workloads = load_workloads()
-    print(f"Chain certification plus 6-digit brackets, median of seeds 1-3 "
-          f"(Python {platform.python_version()}, {platform.machine()})")
-    print()
-    print("| degree | " + " | ".join(FAMILIES) + " |")
-    print("|---|" + "---|" * len(FAMILIES))
+    certify_rows, refine_rows = [], []
     for n in DEGREES:
-        cells = []
+        certify_cells, refine_cells = [], []
         for family in FAMILIES:
-            times = []
+            times, roots = [], []
             for seed in SEEDS:
                 c = workloads.family_equation(random.Random(seed), n, family)
-                times.append(certify_ms(diagonal_restriction(SigmaKPolynomial(n, c))))
-            cells.append(f"{statistics.median(times):.1f} ms")
-        print(f"| d{n} | " + " | ".join(cells) + " |")
+                ms, chain = certify_ms(diagonal_restriction(SigmaKPolynomial(n, c)))
+                times.append(ms)
+                roots += chain
+            certify_cells.append(statistics.median(times))
+            refine_cells.append(statistics.median(refine_ms(alg) for alg in roots))
+        certify_rows.append((n, certify_cells))
+        refine_rows.append((n, refine_cells))
+    host = f"Python {platform.python_version()}, {platform.machine()}"
+    print_table(f"Chain certification plus 6-digit brackets, median of seeds 1-3 ({host})", certify_rows, 1)
+    print()
+    print_table(f"One refine(alg, 1e-6), median over the chain roots of seeds 1-3 ({host})", refine_rows, 3)
 
 
 if __name__ == "__main__":
