@@ -12,19 +12,14 @@ from .equations import (
     dominates,
     elementary_symmetric,
     evaluate,
-    graph_lambda_n,
-    partial_restriction,
     sample_region,
-    translate,
 )
 from .errors import SigmaKError
 from .poly import (
     Poly,
     SturmChain,
     derivative,
-    discriminant,
     poly_gcd,
-    resultant,
     squarefree_part,
     sturm_chain,
     taylor_shift,
@@ -39,7 +34,6 @@ from .realroots import (
     compare,
     from_rational,
     isolate_real_roots,
-    largest_real_root,
     refine,
     sign_at,
 )
@@ -67,24 +61,18 @@ __all__ = [
     "cone_membership",
     "derivative",
     "diagonal_restriction",
-    "discriminant",
     "dominates",
     "elementary_symmetric",
     "evaluate",
     "from_rational",
-    "graph_lambda_n",
     "isolate_real_roots",
-    "largest_real_root",
-    "partial_restriction",
     "poly_gcd",
     "refine",
-    "resultant",
     "sample_region",
     "sign_at",
     "squarefree_part",
     "sturm_chain",
     "taylor_shift",
-    "translate",
     "yun_decomposition",
 ]
 

@@ -256,7 +256,11 @@ def midpoint_convexity_test(
 
 
 def alpha_profile(p: Poly, lo: float, hi: float, count: int) -> list[tuple[float, float]]:
-    """(x, alpha) rows across a uniform grid, for CSV plotting."""
+    """(x, alpha) rows across a uniform grid, for CSV plotting.
+
+    A critical point whose one-sided limits disagree has no value; its row
+    reads ``nan``, as a sample that overflows the float range does.
+    """
     if count < 1:
         raise ValueError("need at least one sample")
     if not hi > lo:
@@ -264,7 +268,8 @@ def alpha_profile(p: Poly, lo: float, hi: float, count: int) -> list[tuple[float
     rows = []
     for i in range(count):
         x = lo + (hi - lo) * i / max(count - 1, 1)
-        rows.append((x, float(alpha(p, float(x)).alpha)))
+        value = alpha(p, float(x)).alpha
+        rows.append((x, math.nan if value is None else float(value)))
     return rows
 
 

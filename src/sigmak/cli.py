@@ -240,6 +240,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise UsageError("range ends must be finite")
     if not hi > lo:
         raise UsageError("range must satisfy lo < hi")
+    if not math.isfinite(hi - lo):
+        raise UsageError("range width must be within the float range")
     return lo, hi
 
 
@@ -336,10 +338,13 @@ def _deform(args, state):
         raise SigmaKError("deformation needs a chain-certified polynomial")
     if grid is None:
         m = cert.top_multiplicity or 1
-        low = bracket(cert.chain[min(m, len(cert.chain) - 1)], 6)[1]
-        high = cert.x0_bracket[0]
-        if not high > low:
+        if m >= len(cert.chain):
             raise SigmaKError("degenerate deformation window")
+        # chain[m] < chain[0] when m < n, so deep enough brackets separate them
+        digits, low, high = 6, bracket(cert.chain[m], 6)[1], cert.x0_bracket[0]
+        while not high > low:
+            digits *= 2
+            low, high = bracket(cert.chain[m], digits)[1], bracket(cert.chain[0], digits)[0]
         step = (high - low) / DEFORM_CURVES
         grid = [low + step * i for i in range(1, DEFORM_CURVES + 1)]
     try:

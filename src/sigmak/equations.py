@@ -2,10 +2,12 @@
 
 An equation of degree n is ``f(lam) = sigma_n(lam) - sum_{k<n} c_k
 sigma_k(lam) = 0`` with rational coefficients ``c_0..c_{n-1}``.  The module
-evaluates f, forms partial and diagonal restrictions, translates away the
-top coefficient, certifies stability through the diagonal chain
-certificate, answers membership queries for the nested subsolution cones,
-and decides dominance between two stable equations.
+evaluates f, forms the diagonal restriction, certifies stability through
+the diagonal chain certificate, answers membership queries for the nested
+subsolution cones, and decides dominance between two stable equations.
+The partial restriction, the translation that removes the top coefficient
+and the graph form of the level set are proof devices; the tests keep
+them.
 
 Membership convention: cone level l (1 <= l <= n-1) holds when every size-l
 partial restriction is positive at the point and level l+1 holds; level 0
@@ -34,8 +36,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
-    BadSubsetSize,
-    DenominatorNotPositive,
     DimensionMismatch,
     NotStableEquation,
     SamplingExhausted,
@@ -95,50 +95,11 @@ def evaluate(f: SigmaKPolynomial, point: Sequence):
     return _restriction_value(elementary_symmetric(point), f.c, 0)
 
 
-def partial_restriction(f: SigmaKPolynomial, subset) -> SigmaKPolynomial:
-    """Drop ``l`` coordinates: same family one level down, coefficients shifted.
-
-    ``subset`` is either the size l itself or the index set to drop; by
-    symmetry only the size matters.
-    """
-    if isinstance(subset, int):
-        l = subset
-    else:
-        indices = set(subset)
-        if not all(isinstance(i, int) and 0 <= i < f.n for i in indices):
-            raise BadSubsetSize("subset indices out of range")
-        l = len(indices)
-    if not 1 <= l <= f.n - 1:
-        raise BadSubsetSize(f"subset size {l} not in 1..{f.n - 1}")
-    return SigmaKPolynomial(f.n - l, f.c[l:])
-
-
 def diagonal_restriction(f: SigmaKPolynomial) -> Poly:
     """The univariate restriction to the diagonal: x^n - sum c_k C(n,k) x^k."""
     coeffs = [-f.c[k] * comb0(f.n, k) for k in range(f.n)]
     coeffs.append(Fraction(1))
     return Poly(coeffs)
-
-
-def translate(f: SigmaKPolynomial) -> tuple[SigmaKPolynomial, Fraction]:
-    """Shift all coordinates by the top coefficient so it vanishes.
-
-    Substituting ``mu = lam - c_{n-1}`` gives coefficients
-    ``d_j = sum_{k>=j} c_k c_{n-1}^{k-j} C(n-j, k-j) - c_{n-1}^{n-j}``
-    and ``d_{n-1} = 0``; the shift is returned alongside.
-    """
-    shift = f.c[f.n - 1]
-    if shift == 0:
-        return f, Fraction(0)
-    d = []
-    for j in range(f.n - 1):
-        total = sum(
-            f.c[k] * shift ** (k - j) * comb0(f.n - j, k - j)
-            for k in range(j, f.n)
-        )
-        d.append(total - shift ** (f.n - j))
-    d.append(Fraction(0))
-    return SigmaKPolynomial(f.n, tuple(d)), shift
 
 
 class StabilityVerdict(enum.Enum):
@@ -361,29 +322,6 @@ def dominates(g: SigmaKPolynomial, f: SigmaKPolynomial) -> DominanceReport:
     )
     ok = all(c in (Order.GREATER, Order.EQUAL) for c in comparisons)
     return DominanceReport(ok, comparisons)
-
-
-def graph_lambda_n(f: SigmaKPolynomial, base: Sequence):
-    """The last coordinate that puts ``(base, lambda_n)`` on the zero level set.
-
-    Solves ``f = 0`` linearly in the missing coordinate; requires the
-    denominator (the one-variable partial restriction at the base) to be
-    positive.
-    """
-    if f.n < 2:
-        raise DimensionMismatch("graph form needs degree >= 2")
-    if len(base) != f.n - 1:
-        raise DimensionMismatch(f"base has {len(base)} coordinates, expected {f.n - 1}")
-    exact = _is_exact_point(base)
-    margin = Fraction(0) if exact else FLOAT_MARGIN
-    e = elementary_symmetric(base)
-    numerator = sum(f.c[k] * e[k] for k in range(f.n))
-    denominator = e[f.n - 1] - sum(f.c[k] * e[k - 1] for k in range(1, f.n))
-    if not denominator > margin:
-        raise DenominatorNotPositive(
-            "graph denominator must be positive at the base point"
-        )
-    return numerator / denominator
 
 
 def _dyadic(u: float, bits: int = 24) -> Fraction:

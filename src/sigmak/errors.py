@@ -21,20 +21,12 @@ class DimensionMismatch(SigmaKError):
     """A point or equation has the wrong number of coordinates."""
 
 
-class BadSubsetSize(SigmaKError):
-    """A partial restriction was requested for an invalid subset size."""
-
-
 class NotStableEquation(SigmaKError):
     """The operation requires a (strictly) stable equation."""
 
 
 class NotCertified(SigmaKError):
     """The operation requires a successful chain certificate."""
-
-
-class DenominatorNotPositive(SigmaKError):
-    """The graph denominator is not positive at the given base point."""
 
 
 class SamplingExhausted(SigmaKError):

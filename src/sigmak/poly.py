@@ -1,10 +1,12 @@
 """Exact univariate polynomial kernel.
 
 Dense polynomials over the rationals with everything the certificate path
-needs: arithmetic, derivatives, Taylor shifts, gcd and squarefree machinery,
-Sturm chains, resultants and discriminants.  All arithmetic is exact; no
-operation in this module ever rounds.  Gcds, remainder sequences and
-resultants run on integer forms, positive multiples of the rational ones.
+needs: arithmetic, derivatives, Taylor shifts, gcd and squarefree machinery
+and Sturm chains.  All arithmetic is exact; no operation in this module
+ever rounds.  Gcds and remainder sequences run on integer forms, positive
+multiples of the rational ones.  The resultant and discriminant are proof
+devices of the paper, not steps of the decision; they live with the test
+oracles.
 
 Coefficients are stored ascending, ``coeffs[k]`` multiplying ``x**k``.  The
 zero polynomial has an empty coefficient tuple and degree ``-inf``.
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DegreeTooLow, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .rationals import sign
 
 NEG_INF = float("-inf")
@@ -356,7 +358,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     return 1 + rest / top
 
 
-# -- resultants ---------------------------------------------------------------
+# -- pseudo-remainders --------------------------------------------------------
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -379,70 +381,3 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     while r and r[-1] == 0:
         r.pop()
     return r
-
-
-def _resultant_subresultant(a: list[int], b: list[int]) -> int:
-    """Resultant of integer polynomials by the subresultant remainder sequence."""
-    da, db = len(a) - 1, len(b) - 1
-    s = 1
-    if da < db:
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        a, b, da, db = b, a, db, da
-    ca, cb = math.gcd(*a), math.gcd(*b)
-    a = [v // ca for v in a]
-    b = [v // cb for v in b]
-    t = s * ca**db * cb**da
-    if db == 0:
-        return t * b[0] ** da
-    s = 1
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = _prem(a, b)
-        if r == [0] or not r:
-            return 0
-        a = b
-        divisor = g * h**delta
-        b = [v // divisor for v in r]
-        g = a[-1]
-        h = g**delta // h ** (delta - 1) if delta > 0 else h
-        if len(b) - 1 == 0:
-            da = len(a) - 1
-            return t * s * (b[0] ** da // h ** (da - 1))
-
-
-def resultant(p1: Poly, p2: Poly) -> Fraction:
-    """Determinant of the Sylvester matrix of ``p1`` and ``p2``.
-
-    Computed by the subresultant remainder sequence on the integer forms of
-    both polynomials, which keeps intermediate coefficients from blowing up.
-    """
-    if p1.is_zero or p2.is_zero:
-        raise ZeroPolynomial("resultant needs two nonzero polynomials")
-    d, e = int(p1.degree), int(p2.degree)
-    if d == 0 and e == 0:
-        return Fraction(1)
-    if d == 0:
-        return p1.coeffs[0] ** e
-    if e == 0:
-        return p2.coeffs[0] ** d
-    a, da = _clear_denominators(p1)
-    b, db = _clear_denominators(p2)
-    return Fraction(_resultant_subresultant(a, b), da**e * db**d)
-
-
-def discriminant(p: Poly) -> Fraction:
-    """``(-1)^(n(n-1)/2) / a_n * res(p, p')``."""
-    if p.is_zero:
-        raise ZeroPolynomial("discriminant of the zero polynomial")
-    n = int(p.degree)
-    if n < 1:
-        raise DegreeTooLow("discriminant needs degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    res = resultant(p, derivative(p))
-    return Fraction((-1) ** (n * (n - 1) // 2)) / p.lc * res

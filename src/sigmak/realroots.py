@@ -252,12 +252,6 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicNumber]:
     return out
 
 
-def largest_real_root(p: Poly):
-    """Rightmost element of ``isolate_real_roots``, or None when no real root exists."""
-    roots = isolate_real_roots(p)
-    return roots[-1] if roots else None
-
-
 def sign_at(p: Poly, alpha: AlgebraicNumber) -> int:
     """Exact sign of ``p`` at the algebraic number.
 

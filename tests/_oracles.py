@@ -20,8 +20,13 @@ certified against the cubic, and shares no chain code with
 ``count_real_roots_with_multiplicity`` wrap the Sturm API and the right
 chain for the tests that need them, and ``mirror``, ``negate`` and
 ``shift`` move a polynomial or an algebraic number to ``-x`` or ``x + d``.
-All stay deliberately separate from the exact code paths they are used to
-check.
+``resultant`` and ``discriminant`` (the subresultant remainder sequence on
+integer forms, ``_resultant_subresultant``, checked against the Bareiss
+determinant), ``partial_restriction`` (the equation one cone level down) and
+``largest_real_root`` (the rightmost isolated root) are the paper's proof
+devices and the references the tests build on; no decision of ``sigmak``
+calls them.  All stay deliberately separate from the exact code paths they
+are used to check.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from sigmak.equations import (
     StabilityVerdict,
     certify_stable,
     evaluate,
-    partial_restriction,
 )
 from sigmak.errors import (
     DegreeOutOfRange,
@@ -52,7 +56,16 @@ from sigmak.errors import (
     SigmaKError,
     ZeroPolynomial,
 )
-from sigmak.poly import Poly, SturmChain, derivative, sturm_chain, taylor_shift, yun_decomposition
+from sigmak.poly import (
+    Poly,
+    SturmChain,
+    _clear_denominators,
+    _prem,
+    derivative,
+    sturm_chain,
+    taylor_shift,
+    yun_decomposition,
+)
 from sigmak.poly import evaluate as poly_evaluate
 from sigmak.presets import _raw_mpf_to_fraction, hessian_type, j_equation, monge_ampere, nonneg_coeff
 from sigmak.rationals import sign
@@ -62,7 +75,7 @@ from sigmak.realroots import (
     _bisect_once,
     _shares_root,
     from_rational,
-    largest_real_root,
+    isolate_real_roots,
     sign_at,
 )
 from sigmak.rootchain import ChainCertificate, ChainVerdict, _normalize, certify_right
@@ -73,9 +86,9 @@ EX11_C = ("-20", "9", "-64", "19", "0")
 EX12_C = ("-24", "-2", "65", "19", "0")
 
 
-def bench_workloads():
-    """``bench/workloads.py``, loaded from its file: the certify-highdeg family generator."""
-    spec = importlib.util.spec_from_file_location("_bench_workloads", ROOT / "bench" / "workloads.py")
+def bench_module(stem: str):
+    """``bench/<stem>.py``, loaded from its file; ``bench`` is not a package."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{stem}", ROOT / "bench" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -94,7 +107,7 @@ def corpus_equations(seed: int, degrees) -> list[SigmaKPolynomial]:
         hessian_type(4, 1, Fraction(3)),
         nonneg_coeff(4, [Fraction(1), Fraction(2), Fraction(3)], Fraction(-5)).equation,
     ]
-    workloads = bench_workloads()
+    workloads = bench_module("workloads")
     rng = random.Random(seed)
     for n in degrees:
         for family in workloads.CertifyHighdeg.families:
@@ -104,6 +117,10 @@ def corpus_equations(seed: int, degrees) -> list[SigmaKPolynomial]:
 
 class NoRealRoot(SigmaKError):
     """The polynomial has no real root."""
+
+
+class BadSubsetSize(SigmaKError):
+    """A partial restriction was requested for an invalid subset size."""
 
 
 class TopCoefficientNotZero(SigmaKError):
@@ -211,6 +228,73 @@ def near_tie(coeffs_ascending, gap: float = 1e-6) -> bool:
     return False
 
 
+def _resultant_subresultant(a: list[int], b: list[int]) -> int:
+    """Resultant of integer polynomials by the subresultant remainder sequence."""
+    da, db = len(a) - 1, len(b) - 1
+    s = 1
+    if da < db:
+        if da % 2 == 1 and db % 2 == 1:
+            s = -s
+        a, b, da, db = b, a, db, da
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a = [v // ca for v in a]
+    b = [v // cb for v in b]
+    t = s * ca**db * cb**da
+    if db == 0:
+        return t * b[0] ** da
+    s = 1
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            s = -s
+        r = _prem(a, b)
+        if r == [0] or not r:
+            return 0
+        a = b
+        divisor = g * h**delta
+        b = [v // divisor for v in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta > 0 else h
+        if len(b) - 1 == 0:
+            da = len(a) - 1
+            return t * s * (b[0] ** da // h ** (da - 1))
+
+
+def resultant(p1: Poly, p2: Poly) -> Fraction:
+    """Determinant of the Sylvester matrix of ``p1`` and ``p2``.
+
+    Computed by the subresultant remainder sequence on the integer forms of
+    both polynomials, which keeps intermediate coefficients from blowing up.
+    """
+    if p1.is_zero or p2.is_zero:
+        raise ZeroPolynomial("resultant needs two nonzero polynomials")
+    d, e = int(p1.degree), int(p2.degree)
+    if d == 0 and e == 0:
+        return Fraction(1)
+    if d == 0:
+        return p1.coeffs[0] ** e
+    if e == 0:
+        return p2.coeffs[0] ** d
+    a, da = _clear_denominators(p1)
+    b, db = _clear_denominators(p2)
+    return Fraction(_resultant_subresultant(a, b), da**e * db**d)
+
+
+def discriminant(p: Poly) -> Fraction:
+    """``(-1)^(n(n-1)/2) / a_n * res(p, p')``."""
+    if p.is_zero:
+        raise ZeroPolynomial("discriminant of the zero polynomial")
+    n = int(p.degree)
+    if n < 1:
+        raise DegreeTooLow("discriminant needs degree >= 1")
+    if n == 1:
+        return Fraction(1)
+    res = resultant(p, derivative(p))
+    return Fraction((-1) ** (n * (n - 1) // 2)) / p.lc * res
+
+
 def _sylvester_matrix(p1, p2) -> list[list[Fraction]]:
     d, e = int(p1.degree), int(p2.degree)
     size = d + e
@@ -316,6 +400,12 @@ def gcd_by_division(p: Poly, q: Poly) -> Poly:
     return a.monic() if a.degree >= 1 else Poly([1])
 
 
+def largest_real_root(p: Poly):
+    """Rightmost element of ``isolate_real_roots``, or None when no real root exists."""
+    roots = isolate_real_roots(p)
+    return roots[-1] if roots else None
+
+
 def certify_right_by_isolation(p: Poly) -> ChainCertificate:
     """Right-chain certificate from full root isolation of every derivative.
 
@@ -355,6 +445,24 @@ def certify_right_by_isolation(p: Poly) -> ChainCertificate:
         signs=tuple(signs),
         top_multiplicity=chain[0].multiplicity_in_source,
     )
+
+
+def partial_restriction(f: SigmaKPolynomial, subset) -> SigmaKPolynomial:
+    """Drop ``l`` coordinates: same family one level down, coefficients shifted.
+
+    ``subset`` is either the size l itself or the index set to drop; by
+    symmetry only the size matters.
+    """
+    if isinstance(subset, int):
+        l = subset
+    else:
+        indices = set(subset)
+        if not all(isinstance(i, int) and 0 <= i < f.n for i in indices):
+            raise BadSubsetSize("subset indices out of range")
+        l = len(indices)
+    if not 1 <= l <= f.n - 1:
+        raise BadSubsetSize(f"subset size {l} not in 1..{f.n - 1}")
+    return SigmaKPolynomial(f.n - l, f.c[l:])
 
 
 def cone_membership_by_subsets(

@@ -6,8 +6,11 @@ exactly the positive definiteness of the level-set Hessian along the
 diagonal curve.  Both sides of that identity are computed here
 independently: the ratio's limit, derivative, monotonicity and product
 bound, the bordered and diagonal Hessian of the level set, and a
-finite-difference graph Hessian.  No command of ``sigmak`` needs them; the
-tests check the lemmas with them.
+finite-difference graph Hessian.  ``translate`` shifts the coordinates so
+the top coefficient vanishes, the form the Hessian lemmas assume, and
+``graph_lambda_n`` solves the level set for its last coordinate, the graph
+the Hessians are taken of.  No command of ``sigmak`` needs them; the tests
+check the lemmas with them.
 """
 
 from __future__ import annotations
@@ -19,19 +22,24 @@ from typing import Optional, Sequence
 
 from sigmak.analysis import alpha
 from sigmak.equations import (
+    FLOAT_MARGIN,
     SigmaKPolynomial,
+    _is_exact_point,
     diagonal_restriction,
     elementary_symmetric,
     evaluate as eval_equation,
-    graph_lambda_n,
 )
-from sigmak.errors import DegreeTooLow, DenominatorNotPositive, NotCertified, SigmaKError
+from sigmak.errors import DegreeTooLow, DimensionMismatch, NotCertified, SigmaKError
 from sigmak.poly import Poly, derivative, evaluate
 from sigmak.rationals import comb0
 from sigmak.realroots import bracket
 from sigmak.rootchain import ChainCertificate, ChainVerdict, certify_right
 
 from _oracles import TopCoefficientNotZero
+
+
+class DenominatorNotPositive(SigmaKError):
+    """The graph denominator is not positive at the given base point."""
 
 
 class CriticalPoint(SigmaKError):
@@ -44,6 +52,50 @@ class ZeroCoordinate(SigmaKError):
 
 class NotOnLevelSet(SigmaKError):
     """The point does not lie on the zero level set."""
+
+
+def translate(f: SigmaKPolynomial) -> tuple[SigmaKPolynomial, Fraction]:
+    """Shift all coordinates by the top coefficient so it vanishes.
+
+    Substituting ``mu = lam - c_{n-1}`` gives coefficients
+    ``d_j = sum_{k>=j} c_k c_{n-1}^{k-j} C(n-j, k-j) - c_{n-1}^{n-j}``
+    and ``d_{n-1} = 0``; the shift is returned alongside.
+    """
+    shift = f.c[f.n - 1]
+    if shift == 0:
+        return f, Fraction(0)
+    d = []
+    for j in range(f.n - 1):
+        total = sum(
+            f.c[k] * shift ** (k - j) * comb0(f.n - j, k - j)
+            for k in range(j, f.n)
+        )
+        d.append(total - shift ** (f.n - j))
+    d.append(Fraction(0))
+    return SigmaKPolynomial(f.n, tuple(d)), shift
+
+
+def graph_lambda_n(f: SigmaKPolynomial, base: Sequence):
+    """The last coordinate that puts ``(base, lambda_n)`` on the zero level set.
+
+    Solves ``f = 0`` linearly in the missing coordinate; requires the
+    denominator (the one-variable partial restriction at the base) to be
+    positive.
+    """
+    if f.n < 2:
+        raise DimensionMismatch("graph form needs degree >= 2")
+    if len(base) != f.n - 1:
+        raise DimensionMismatch(f"base has {len(base)} coordinates, expected {f.n - 1}")
+    exact = _is_exact_point(base)
+    margin = Fraction(0) if exact else FLOAT_MARGIN
+    e = elementary_symmetric(base)
+    numerator = sum(f.c[k] * e[k] for k in range(f.n))
+    denominator = e[f.n - 1] - sum(f.c[k] * e[k - 1] for k in range(1, f.n))
+    if not denominator > margin:
+        raise DenominatorNotPositive(
+            "graph denominator must be positive at the base point"
+        )
+    return numerator / denominator
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,20 @@ from sigmak.equations import (
     SigmaKPolynomial,
     certify_stable,
     evaluate,
-    graph_lambda_n,
 )
-from sigmak.poly import Poly, discriminant
+from sigmak.poly import Poly
 from sigmak.presets import DhymSpec, dhym, nonneg_coeff
 from sigmak.realroots import refine
 from sigmak.rootchain import ChainVerdict, certify_right
 
-from _oracles import closed_form_criterion, float_chain_verdict, near_tie
-from _paper import alpha_limit, bordered_hessian_entries, diagonal_hessian_scalar, monotonicity_scan
+from _oracles import closed_form_criterion, discriminant, float_chain_verdict, near_tie
+from _paper import (
+    alpha_limit,
+    bordered_hessian_entries,
+    diagonal_hessian_scalar,
+    graph_lambda_n,
+    monotonicity_scan,
+)
 
 EX11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
 EX12 = SigmaKPolynomial(5, (F(-24), F(-2), F(65), F(19), F(0)))

@@ -15,9 +15,8 @@ from sigmak.analysis import (
 from sigmak.equations import (
     SigmaKPolynomial,
     certify_stable,
-    graph_lambda_n,
 )
-from sigmak.errors import DegreeTooLow, DenominatorNotPositive, OutOfDeformationRange
+from sigmak.errors import DegreeTooLow, OutOfDeformationRange
 from sigmak.poly import Poly, derivative, evaluate as eval_poly
 from sigmak.realroots import refine
 from sigmak.rootchain import certify_right
@@ -25,6 +24,7 @@ from sigmak.rootchain import certify_right
 from _oracles import TopCoefficientNotZero, multiplicity_at_largest_root
 from _paper import (
     CriticalPoint,
+    DenominatorNotPositive,
     NotOnLevelSet,
     ZeroCoordinate,
     alpha_derivative,
@@ -32,6 +32,7 @@ from _paper import (
     alpha_product_bound,
     bordered_hessian_entries,
     diagonal_hessian_scalar,
+    graph_lambda_n,
     monotonicity_scan,
     numeric_graph_hessian,
 )
@@ -414,6 +415,12 @@ class TestProfiles:
         assert len(rows) == 16
         assert all(v < 0.8 for _, v in rows)
         assert all(b >= a - 1e-9 for (_, a), (_, b) in zip(rows, rows[1:]))
+
+    def test_alpha_profile_undefined_limit_is_nan(self):
+        # x^3 - 1 at 0.0: alpha runs to -inf from the right and +inf from the left
+        rows = alpha_profile(Poly([-1, 0, 0, 1]), -1.0, 1.0, 3)
+        assert rows[1][0] == 0.0 and math.isnan(rows[1][1])
+        assert rows[0][1] == pytest.approx(4 / 3) and rows[2][1] == 0.0
 
     def test_deformation_profile_rows(self):
         rows = deformation_profile(FIG2_QUARTIC, [F(3), F(4)], 8, F(42, 5))

@@ -235,6 +235,15 @@ class TestAlpha:
         code, _, err = run(capsys, "alpha", f, "--range", "0:1", "--samples", "4")
         assert code == 3 and "contract" in err
 
+    def test_float_critical_point_reads_nan(self, tmp_path, capsys):
+        # p = x^3 - 1 at x = 0: p' vanishes and the one-sided limits of alpha disagree
+        code, out, _ = run(capsys, "preset", "monge-ampere", "3", "1")
+        f = tmp_path / "f.json"
+        f.write_text(out, encoding="utf-8")
+        code, out, err = run(capsys, "alpha", str(f), "--range=-1:1", "--samples", "3")
+        assert code == 0 and err == ""
+        assert json.loads(out)["extras"]["rows"][1] == ["0", "nan"]
+
 
 class TestDeform:
     def test_fig2_family_csv(self, tmp_path, capsys):
@@ -274,6 +283,22 @@ class TestDeform:
         assert code == 0
         assert json.loads(out)["extras"]["curves"] == 12
         assert len(csv_path.read_text().strip().splitlines()) == 1 + 12 * 200
+
+    @pytest.mark.parametrize("c0", ["1e-20", "1e-1600"])
+    def test_window_narrower_than_six_digits(self, tmp_path, capsys, c0):
+        # roots 0 and 10^-10 (10^-800): the 6-digit brackets do not separate them
+        f = write_json(tmp_path / "f.json", {"n": 2, "c": [c0, "0"]})
+        code, out, err = run(capsys, "deform", f, "--samples", "2")
+        assert code == 0 and err == ""
+        extras = json.loads(out)["extras"]
+        assert extras["curves"] == 12 and extras["descending_in_y"] is True
+        code, out, _ = run(capsys, "certify", f)
+        assert code == 0 and json.loads(out)["verdict"] == "strictly-stable-convex"
+
+    def test_full_multiplicity_top_root_exit_3(self, capsys):
+        # x^2: the top root has multiplicity n, so the window is a single point
+        code, out, err = run(capsys, "deform", "--poly", "0,0,1", "--samples", "2")
+        assert code == 3 and out == "" and "degenerate deformation window" in err
 
 
 class TestPreset:
@@ -572,6 +597,13 @@ class TestMalformedInput:
         path = write_json(tmp_path / "f.json", EX11)
         code, _, err = run(capsys, "alpha", path, f"--range={bounds}", "--samples", "4")
         assert code == 2 and err.startswith("error:")
+
+    def test_alpha_range_width_beyond_float(self, tmp_path, capsys):
+        # both ends are finite floats, hi - lo is not
+        path = write_json(tmp_path / "f.json", EX11)
+        code, out, err = run(capsys, "alpha", path, "--range=-1e308:1e308", "--samples", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     def test_huge_exponent_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError):

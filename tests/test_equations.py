@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from _oracles import cone_membership_by_subsets
+from _oracles import BadSubsetSize, cone_membership_by_subsets, partial_restriction
 from _oracles import shift as shift_number
+from _paper import DenominatorNotPositive, graph_lambda_n, translate
 from sigmak.analysis import midpoint_convexity_test
 from sigmak.equations import (
     FLOAT_MARGIN,
@@ -17,14 +18,9 @@ from sigmak.equations import (
     dominates,
     elementary_symmetric,
     evaluate,
-    graph_lambda_n,
-    partial_restriction,
     sample_region,
-    translate,
 )
 from sigmak.errors import (
-    BadSubsetSize,
-    DenominatorNotPositive,
     DimensionMismatch,
     NotStableEquation,
     SamplingExhausted,

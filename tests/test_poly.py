@@ -7,13 +7,10 @@ import pytest
 from sigmak.errors import DegreeTooLow, ZeroPolynomial
 from sigmak.poly import (
     Poly,
-    _resultant_subresultant,
     _clear_denominators,
     derivative,
-    discriminant,
     evaluate,
     poly_gcd,
-    resultant,
     squarefree_part,
     sturm_chain,
     taylor_shift,
@@ -22,8 +19,11 @@ from sigmak.poly import (
 
 from _oracles import (
     _bareiss_determinant,
+    _resultant_subresultant,
     _sylvester_matrix,
+    discriminant,
     distinct_real_roots,
+    resultant,
     resultant_by_root_product,
 )
 

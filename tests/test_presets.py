@@ -10,7 +10,6 @@ from sigmak.equations import (
     certify_stable,
     diagonal_restriction,
     evaluate,
-    translate,
 )
 from sigmak.errors import (
     DegeneratePhase,
@@ -33,6 +32,7 @@ from sigmak.presets import (
 from sigmak.realroots import approx, from_rational, compare, Order
 
 from _oracles import TopCoefficientNotZero, certify_left, closed_form_criterion
+from _paper import translate
 
 
 class TestMongeAmpere:

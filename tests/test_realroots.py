@@ -7,7 +7,7 @@ import sigmak.realroots as realroots
 from sigmak.analysis import deformation
 from sigmak.equations import SigmaKPolynomial, StabilityVerdict, certify_stable, dominates
 from sigmak.errors import ZeroPolynomial
-from sigmak.poly import Poly, SturmChain, _primitive_ints, derivative, resultant
+from sigmak.poly import Poly, SturmChain, _primitive_ints, derivative
 from sigmak.presets import (
     DhymSpec,
     dhym,
@@ -25,14 +25,13 @@ from sigmak.realroots import (
     compare,
     from_rational,
     isolate_real_roots,
-    largest_real_root,
     refine,
     rounded,
     sign_at,
 )
 from sigmak.rootchain import _root_above as _root_above_ints
 
-from _oracles import closed_form_criterion, distinct_real_roots
+from _oracles import closed_form_criterion, distinct_real_roots, largest_real_root, resultant
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 EX21_QUINTIC = Poly([24, 10, -650, -190, 0, 1])
