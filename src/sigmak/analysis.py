@@ -5,8 +5,9 @@ from critical points, extended by its limit at isolated critical points
 (signed infinity allowed, 0 by definition where critical points accumulate).
 For chain-certified polynomials the ratio increases monotonically above the
 largest derivative root toward ``1 - 1/n``, and it drops as the top root is
-deformed upwards; ``alpha``, ``deform`` and ``certify --convexity-pairs``
-print these profiles and samples beside the exact certificate.
+deformed upwards.  The profiles behind ``alpha`` and ``deform`` are exact:
+rational grids, and ratios of integer Horner values, so only the printing
+rounds.  ``certify --convexity-pairs`` samples its points in floating point.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .equations import (
     sample_region,
 )
 from .errors import NotCertified, NotStableEquation, OutOfDeformationRange
-from .poly import Poly, derivative, evaluate, taylor_shift
+from .poly import Poly, _primitive_ints, _value, derivative, evaluate, taylor_shift
 from .realroots import Order, compare, from_rational
 from .rootchain import ChainCertificate, certify_right
 
@@ -54,9 +55,8 @@ def _first_nonzero(coeffs: Sequence[Fraction], start: int = 0) -> Optional[int]:
 def alpha(p: Poly, x) -> AlphaSample:
     """Log-concavity ratio of ``p`` at ``x`` with exact critical-point limits.
 
-    At a rational critical point the common root factor of numerator and
-    denominator is cancelled through the Taylor expansion; a float critical
-    point is handled by symmetric numeric limits.
+    At a critical point the common root factor of numerator and denominator
+    is cancelled through the Taylor expansion at ``x``, read as a rational.
     """
     dp = derivative(p)
     if dp.is_zero:
@@ -66,8 +66,6 @@ def alpha(p: Poly, x) -> AlphaSample:
         ddp = derivative(dp)
         value = evaluate(p, x) * evaluate(ddp, x) / (dv * dv)
         return AlphaSample(x, value, Regime.REGULAR)
-    if isinstance(x, float):
-        return AlphaSample(x, _alpha_float_limit(p, x), Regime.CRITICAL_LIMIT)
     t = taylor_shift(p, Fraction(x)).coeffs
     u = _first_nonzero(t)
     i1 = _first_nonzero(t, 1)
@@ -89,28 +87,27 @@ def alpha(p: Poly, x) -> AlphaSample:
     return AlphaSample(x, None, Regime.CRITICAL_LIMIT)
 
 
-def _alpha_float_limit(p: Poly, x: float):
-    dp = derivative(p)
-    ddp = derivative(dp)
+def _ratio(p: Poly):
+    """``x -> alpha(p, x).alpha`` for rational ``x``, on integer forms of ``p, p', p''`` built once.
 
-    def at(z: float) -> float:
-        return evaluate(p, z) * evaluate(ddp, z) / evaluate(dp, z) ** 2
+    The positive factor that makes ``p`` a primitive integer list cancels in
+    ``p * p'' / p'^2``, and so do the powers of ``den(x)`` that ``_value``
+    multiplies in.  A critical point takes ``alpha``'s exact limit.
+    """
+    q = _primitive_ints(p)
+    dq = [i * c for i, c in enumerate(q)][1:]
+    ddq = [i * c for i, c in enumerate(dq)][1:]
 
-    scale = 1.0 + abs(x)
-    estimates = []
-    for k in range(4, 9):
-        h = scale * 10.0**-k
-        estimates.append((at(x + h), at(x - h)))
-    right, left = estimates[-1]
-    if math.isfinite(right) and math.isfinite(left) and abs(right - left) <= 1e-3 * (
-        1 + abs(right)
-    ):
-        return (right + left) / 2
-    if right > 1e12 and left > 1e12:
-        return math.inf
-    if right < -1e12 and left < -1e12:
-        return -math.inf
-    return None
+    def at(x: Fraction):
+        d = _value(dq, x)
+        return Fraction(_value(q, x) * _value(ddq, x), d * d) if d else alpha(p, x).alpha
+
+    return at
+
+
+def _grid(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
+    """``count`` evenly spaced rationals from ``lo`` to ``hi``; a single one is ``lo``."""
+    return [lo + (hi - lo) * Fraction(i, max(count - 1, 1)) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ class DeformationState:
 
 
 _WINDOW_SLACK = Fraction(1, 10**9)
-# the descent check samples x only this far above the larger parameter
+# deformed ratios are sampled only this far above the deformation parameter
 _DESCENT_X_MARGIN = Fraction(1, 100)
 
 
@@ -163,9 +160,7 @@ def deformation(
 
 def _x_max(cert: ChainCertificate, x_max) -> Fraction:
     """``x_max``, or by default 1.7 times the 6-digit upper bracket of ``x_0``, plus 1."""
-    if x_max is None:
-        return cert.x0_bracket[1] * Fraction(17, 10) + 1
-    return Fraction(x_max)
+    return cert.x0_bracket[1] * Fraction(17, 10) + 1 if x_max is None else Fraction(x_max)
 
 
 @dataclass(frozen=True)
@@ -194,31 +189,19 @@ def deformation_alpha_descent(
     if not cert.succeeded:
         raise NotCertified("descent check needs a chain-certified polynomial")
     ys = sorted(Fraction(v) for v in y_grid)
-    states = [deformation(p, y, certificate=cert) for y in ys]
-    if len(ys) < 2:
-        return DescentReport(len(ys), 0, None, True)
+    ratios = [_ratio(deformation(p, y, certificate=cert).poly) for y in ys]
     x_max = _x_max(cert, x_max)
-    min_margin = None
-    comparisons = 0
-    for (y_a, state_a), (y_b, state_b) in zip(
-        zip(ys, states), zip(ys[1:], states[1:])
-    ):
+    margins = []
+    for y_b, ratio_a, ratio_b in zip(ys[1:], ratios, ratios[1:]):
         lo = y_b + _DESCENT_X_MARGIN
-        if lo >= x_max:
-            continue
-        for i in range(1, x_count + 1):
-            x = lo + (x_max - lo) * Fraction(i, x_count)
-            va = alpha(state_a.poly, x).alpha
-            vb = alpha(state_b.poly, x).alpha
-            margin = va - vb
-            comparisons += 1
-            if min_margin is None or margin < min_margin:
-                min_margin = margin
+        if lo < x_max:
+            margins += [ratio_a(x) - ratio_b(x) for x in _grid(lo, x_max, x_count + 1)[1:]]
+    min_margin = min(margins, default=None)
     return DescentReport(
         curves=len(ys),
-        comparisons=comparisons,
+        comparisons=len(margins),
         min_margin=min_margin,
-        all_positive=min_margin is not None and min_margin > 0,
+        all_positive=len(ys) < 2 or (min_margin is not None and min_margin > 0),
     )
 
 
@@ -255,22 +238,19 @@ def midpoint_convexity_test(
     return MidpointReport(pairs, failures, tuple(examples), label)
 
 
-def alpha_profile(p: Poly, lo: float, hi: float, count: int) -> list[tuple[float, float]]:
-    """(x, alpha) rows across a uniform grid, for CSV plotting.
+def alpha_profile(p: Poly, lo, hi, count: int) -> list[tuple[Fraction, object]]:
+    """Exact (x, alpha) rows across a uniform rational grid, for CSV plotting.
 
     A critical point whose one-sided limits disagree has no value; its row
-    reads ``nan``, as a sample that overflows the float range does.
+    reads None.
     """
     if count < 1:
         raise ValueError("need at least one sample")
+    lo, hi = Fraction(lo), Fraction(hi)
     if not hi > lo:
         raise ValueError("empty range")
-    rows = []
-    for i in range(count):
-        x = lo + (hi - lo) * i / max(count - 1, 1)
-        value = alpha(p, float(x)).alpha
-        rows.append((x, math.nan if value is None else float(value)))
-    return rows
+    ratio = _ratio(p)
+    return [(x, ratio(x)) for x in _grid(lo, hi, count)]
 
 
 def deformation_profile(
@@ -280,17 +260,14 @@ def deformation_profile(
     x_max=None,
     *,
     certificate: Optional[ChainCertificate] = None,
-) -> list[tuple[float, float, float]]:
-    """(x, y, alpha) rows for the family of deformed ratios, for CSV plotting."""
+) -> list[tuple[Fraction, Fraction, object]]:
+    """Exact (x, y, alpha) rows for the family of deformed ratios, for CSV plotting."""
     cert = certificate if certificate is not None else certify_right(p)
     if not cert.succeeded:
         raise NotCertified("deformation profile needs a certified polynomial")
     x_max = _x_max(cert, x_max)
     rows = []
     for y in sorted(Fraction(v) for v in y_grid):
-        state = deformation(p, y, certificate=cert)
-        lo = float(y) + 1e-2
-        for i in range(x_count):
-            x = lo + (float(x_max) - lo) * i / max(x_count - 1, 1)
-            rows.append((x, float(y), float(alpha(state.poly, float(x)).alpha)))
+        ratio = _ratio(deformation(p, y, certificate=cert).poly)
+        rows += [(x, y, ratio(x)) for x in _grid(y + _DESCENT_X_MARGIN, x_max, x_count)]
     return rows

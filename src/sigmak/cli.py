@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from .equations import (
 )
 from .errors import OutOfDeformationRange, SigmaKError
 from .poly import Poly
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, format_significant, parse_rational
 from .realroots import Order, bracket, rounded
 from .rootchain import certify_right
 
@@ -164,14 +163,11 @@ def _certify(args, state):
     if args.convexity_pairs > 0:
         from . import analysis
 
-        mid = analysis.midpoint_convexity_test(
-            equation, args.convexity_pairs, seed, mode="float"
-        )
-        extras["midpoint_check"] = {
-            "pairs": mid.pairs,
-            "failures": mid.failures,
-            "mode": mid.mode,
-        }
+        # the midpoint test needs a strictly stable equation; other verdicts get none
+        extras["midpoint_check"] = None
+        if report.is_strict:
+            mid = analysis.midpoint_convexity_test(equation, args.convexity_pairs, seed)
+            extras["midpoint_check"] = {k: getattr(mid, k) for k in ("pairs", "failures", "mode")}
     return report.verdict.value, _chain_payload(report.certificate, args.digits), extras
 
 
@@ -228,28 +224,26 @@ def _membership(args, state):
     return "member" if membership.member_level is not None else "outside", [], extras
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError("range must be lo:hi")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"bad range: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError("range ends must be finite")
+    lo, hi = (_rational(part, "range") for part in parts)
     if not hi > lo:
         raise UsageError("range must satisfy lo < hi")
-    if not math.isfinite(hi - lo):
-        raise UsageError("range width must be within the float range")
     return lo, hi
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(f"{v:.12g}" for v in row) + "\n")
+def _emit_rows(args, extras: dict, header: str, rows) -> None:
+    """Round exact rows once into ``--csv`` (undefined: an empty cell) or ``rows`` (null)."""
+    rows = [[format_significant(v) for v in row] for row in rows]
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as handle:
+            handle.write(header + "\n")
+            handle.writelines(",".join(v or "" for v in row) + "\n" for row in rows)
+        extras["csv"] = args.csv
+    else:
+        extras["rows"] = rows
 
 
 def _parse_alpha(args):
@@ -269,19 +263,15 @@ def _alpha(args, state):
         raise SigmaKError("ratio profile needs a stable (chain-certified) equation")
     restriction = diagonal_restriction(equation)
     rows = analysis.alpha_profile(restriction, lo, hi, args.samples)
-    values = [v for _, v in rows]
-    monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
+    # undefined samples (one-sided limits that disagree) are left out of both
+    values = [v for _, v in rows if v is not None]
     extras = {
         "limit": format_rational(Fraction(equation.n - 1, equation.n)),
-        "monotone_nondecreasing": monotone,
+        "monotone_nondecreasing": all(a <= b for a, b in zip(values, values[1:])),
         "samples": len(rows),
-        "max_value": f"{max(values):.12g}",
+        "max_value": format_significant(max(values, default=None)),
     }
-    if args.csv:
-        _write_csv(args.csv, "x,alpha", rows)
-        extras["csv"] = args.csv
-    else:
-        extras["rows"] = [[f"{x:.12g}", f"{v:.12g}"] for x, v in rows]
+    _emit_rows(args, extras, "x,alpha", rows)
     return report.verdict.value, [], extras
 
 
@@ -323,10 +313,21 @@ def _parse_deform(args):
             f"--samples times the {curves} grid curves must be at most {MAX_SAMPLES}"
         )
     x_max = _rational(args.x_max, "--x-max") if args.x_max else None
-    if x_max is not None and abs(x_max) > sys.float_info.max:
-        # the profile's sample abscissae are floats
-        raise UsageError("--x-max must be within the float range")
     return input_obj, (target, grid, x_max)
+
+
+def _default_grid(cert) -> list[Fraction]:
+    """``DEFORM_CURVES`` parameters evenly inside the deformation window, its upper end last."""
+    m = cert.top_multiplicity or 1
+    if m >= len(cert.chain):
+        raise SigmaKError("degenerate deformation window")
+    # chain[m] < chain[0] when m < n, so deep enough brackets separate them
+    digits, low, high = 6, bracket(cert.chain[m], 6)[1], cert.x0_bracket[0]
+    while not high > low:
+        digits *= 2
+        low, high = bracket(cert.chain[m], digits)[1], bracket(cert.chain[0], digits)[0]
+    step = (high - low) / DEFORM_CURVES
+    return [low + step * i for i in range(1, DEFORM_CURVES + 1)]
 
 
 def _deform(args, state):
@@ -336,17 +337,7 @@ def _deform(args, state):
     cert = certify_right(target)
     if not cert.succeeded:
         raise SigmaKError("deformation needs a chain-certified polynomial")
-    if grid is None:
-        m = cert.top_multiplicity or 1
-        if m >= len(cert.chain):
-            raise SigmaKError("degenerate deformation window")
-        # chain[m] < chain[0] when m < n, so deep enough brackets separate them
-        digits, low, high = 6, bracket(cert.chain[m], 6)[1], cert.x0_bracket[0]
-        while not high > low:
-            digits *= 2
-            low, high = bracket(cert.chain[m], digits)[1], bracket(cert.chain[0], digits)[0]
-        step = (high - low) / DEFORM_CURVES
-        grid = [low + step * i for i in range(1, DEFORM_CURVES + 1)]
+    grid = _default_grid(cert) if grid is None else grid
     try:
         rows = analysis.deformation_profile(
             target, grid, args.samples, x_max, certificate=cert
@@ -367,13 +358,9 @@ def _deform(args, state):
     extras = {
         "curves": len(grid),
         "descending_in_y": descent.all_positive,
-        "min_margin": None if descent.min_margin is None else f"{float(descent.min_margin):.12g}",
+        "min_margin": format_significant(descent.min_margin),
     }
-    if args.csv:
-        _write_csv(args.csv, "x,y,alpha", rows)
-        extras["csv"] = args.csv
-    else:
-        extras["rows"] = [[f"{a:.12g}", f"{b:.12g}", f"{c:.12g}"] for a, b, c in rows]
+    _emit_rows(args, extras, "x,y,alpha", rows)
     return "deformation", [], extras
 
 
@@ -507,7 +494,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError:
-        # a float report (convexity pairs, ratio and deformation profiles) of huge values
+        # the float sampling of `certify --convexity-pairs` on huge values
         print("error: a value of this input is outside the float range", file=sys.stderr)
         return EXIT_USAGE
     except SigmaKError as exc:

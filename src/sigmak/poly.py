@@ -253,6 +253,16 @@ def _primitive_ints(p: Poly) -> list[int]:
     return [v // g for v in ints]
 
 
+def _value(q: list[int], x: Fraction) -> int:
+    """``den**deg * q(num / den)`` for ``x = num / den``: an integer with the sign of ``q(x)``."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(q):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
 class SturmChain:
     """Sturm sequence of the squarefree part of a polynomial.
 

@@ -45,6 +45,40 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_significant(value):
+    """``f"{value:.12g}"`` for a rational ``value``, rounded once, half to even.
+
+    A float (the signed infinities of a ratio limit) prints as Python prints
+    it; ``None`` (an undefined value) stays ``None``.
+    """
+    if value is None:
+        return None
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if not value:
+        return "0"
+    num, den = abs(value.numerator), value.denominator
+    # e with 10**e <= |value| < 10**(e + 1), so |value| * 10**(11 - e) has 12
+    # digits before the point; the bit lengths put e within one of its value
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while True:
+        shift = 11 - e
+        top, bottom = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+        mantissa, rest = divmod(top, bottom)
+        if 10**11 <= mantissa < 10**12:
+            break
+        e += 1 if mantissa >= 10**12 else -1
+    if 2 * rest > bottom or (2 * rest == bottom and mantissa % 2):
+        mantissa += 1
+    if mantissa == 10**12:
+        mantissa, e = mantissa // 10, e + 1
+    scientific = not -4 <= e < 12
+    text = str(mantissa) if scientific or e >= 0 else "0" * -e + str(mantissa)
+    point = 1 if scientific else max(e, 0) + 1
+    text = (text[:point] + "." + text[point:]).rstrip("0").rstrip(".")
+    return ("-" if value < 0 else "") + text + (f"e{e:+03d}" if scientific else "")
+
+
 def sign(value) -> int:
     """-1, 0 or +1."""
     if value > 0:

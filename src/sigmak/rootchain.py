@@ -66,7 +66,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DegreeTooLow
-from .poly import Poly, _primitive_ints, remainder_sequence
+from .poly import Poly, _primitive_ints, _value, remainder_sequence
 from .rationals import sign
 from .realroots import (
     AlgebraicNumber,
@@ -144,16 +144,6 @@ def _ladder(p: Poly) -> tuple[list[list[int]], list[int]]:
         ladder.append([c // g for c in d])
         slopes.append(g)
     return ladder, slopes
-
-
-def _value(q: list[int], x: Fraction) -> int:
-    """``den**deg * q(num / den)`` for ``x = num / den``: an integer with the sign of ``q(x)``."""
-    num, den = x.numerator, x.denominator
-    acc, power = 0, 1
-    for c in reversed(q):
-        acc = acc * num + c * power
-        power *= den
-    return acc
 
 
 def _tangent_bound(q_hi: int, dq: list[int], slope: int, lo: Fraction, hi: Fraction) -> int:

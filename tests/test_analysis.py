@@ -416,11 +416,10 @@ class TestProfiles:
         assert all(v < 0.8 for _, v in rows)
         assert all(b >= a - 1e-9 for (_, a), (_, b) in zip(rows, rows[1:]))
 
-    def test_alpha_profile_undefined_limit_is_nan(self):
+    def test_alpha_profile_undefined_limit_is_none(self):
         # x^3 - 1 at 0.0: alpha runs to -inf from the right and +inf from the left
         rows = alpha_profile(Poly([-1, 0, 0, 1]), -1.0, 1.0, 3)
-        assert rows[1][0] == 0.0 and math.isnan(rows[1][1])
-        assert rows[0][1] == pytest.approx(4 / 3) and rows[2][1] == 0.0
+        assert rows == [(-1, F(4, 3)), (0, None), (1, 0)]
 
     def test_deformation_profile_rows(self):
         rows = deformation_profile(FIG2_QUARTIC, [F(3), F(4)], 8, F(42, 5))

@@ -4,16 +4,49 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import sigmak
-from sigmak.cli import canonical_body, main
-from sigmak.rationals import parse_rational
+from sigmak.analysis import alpha, deformation
+from sigmak.cli import _default_grid, canonical_body, main
+from sigmak.equations import SigmaKPolynomial, diagonal_restriction
+from sigmak.poly import Poly
+from sigmak.rationals import format_significant as fmt, parse_rational
+from sigmak.rootchain import certify_right
 
 EX11 = {"n": 5, "c": ["-20", "9", "-64", "19", "0"]}
 EX12 = {"n": 5, "c": ["-24", "-2", "65", "19", "0"]}
+FIG2_QUARTIC = "1275,-260,-24,0,1"
+
+
+def restriction(obj) -> Poly:
+    return diagonal_restriction(SigmaKPolynomial(obj["n"], tuple(map(parse_rational, obj["c"]))))
+
+
+def even_grid(lo, hi, count):
+    return [lo + (hi - lo) * F(i, max(count - 1, 1)) for i in range(count)]
+
+
+def alpha_oracle(obj, lo, hi, samples):
+    """The rows ``alpha`` prints: the single-point exact ratio on the exact grid, rounded once."""
+    p = restriction(obj)
+    return [[fmt(x), fmt(alpha(p, x).alpha)] for x in even_grid(lo, hi, samples)]
+
+
+def deform_oracle(p, samples, ys=None, x_max=None):
+    """The rows ``deform`` prints, from ``alpha`` at each deformed polynomial, rounded once."""
+    cert = certify_right(p)
+    ys = _default_grid(cert) if ys is None else ys
+    x_max = cert.x0_bracket[1] * F(17, 10) + 1 if x_max is None else x_max
+    rows = []
+    for y in ys:
+        q = deformation(p, y, certificate=cert).poly
+        xs = even_grid(y + F(1, 100), x_max, samples)
+        rows += [[fmt(x), fmt(y), fmt(alpha(q, x).alpha)] for x in xs]
+    return rows
 
 
 def write_json(path: Path, obj) -> str:
@@ -104,6 +137,21 @@ class TestCertify:
         assert code == 0 and report["verdict"] == verdict
         if verdict == "not-stable":
             assert report["chain"][0]["approx"] is None
+
+    @pytest.mark.parametrize(
+        "c", [["-1", "0"], ["-1", "1"]], ids=["not-stable", "stable-double-top-root"]
+    )
+    def test_convexity_pairs_without_strict_stability(self, tmp_path, capsys, c):
+        # the midpoint test needs a strictly stable equation; the report keeps the verdict
+        path = write_json(tmp_path / "f.json", {"n": 2, "c": c})
+        code, out, err = run(capsys, "certify", path, "--convexity-pairs", "5")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["extras"]["midpoint_check"] is None
+        _, plain, _ = run(capsys, "certify", path)
+        plain = json.loads(plain)
+        assert (report["verdict"], report["chain"]) == (plain["verdict"], plain["chain"])
+        assert report["verdict"] != "strictly-stable-convex"
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -235,14 +283,62 @@ class TestAlpha:
         code, _, err = run(capsys, "alpha", f, "--range", "0:1", "--samples", "4")
         assert code == 3 and "contract" in err
 
-    def test_float_critical_point_reads_nan(self, tmp_path, capsys):
+    def test_critical_point_reads_null(self, tmp_path, capsys):
         # p = x^3 - 1 at x = 0: p' vanishes and the one-sided limits of alpha disagree
         code, out, _ = run(capsys, "preset", "monge-ampere", "3", "1")
         f = tmp_path / "f.json"
         f.write_text(out, encoding="utf-8")
         code, out, err = run(capsys, "alpha", str(f), "--range=-1:1", "--samples", "3")
         assert code == 0 and err == ""
-        assert json.loads(out)["extras"]["rows"][1] == ["0", "nan"]
+        rows = json.loads(out)["extras"]["rows"]
+        assert rows == alpha_oracle(json.loads(f.read_text()), -1, 1, 3)
+        assert rows[1] == ["0", None]
+
+    @pytest.mark.parametrize(
+        "bounds, max_value, monotone",
+        [("0:1", "0", True), ("-1:0", "6", True), ("-1:1", "1.33333333333", False)],
+    )
+    def test_max_value_over_defined_samples(self, tmp_path, capsys, bounds, max_value, monotone):
+        # x^3 - 1 has no ratio at 0, wherever 0 sits in the grid
+        f = write_json(tmp_path / "f.json", {"n": 3, "c": ["1", "0", "0"]})
+        code, out, _ = run(capsys, "alpha", f, f"--range={bounds}", "--samples", "3")
+        extras = json.loads(out)["extras"]
+        assert code == 0 and extras["max_value"] == max_value
+        assert extras["monotone_nondecreasing"] is monotone
+        assert sum(v is None for _, v in extras["rows"]) == 1
+
+    def test_csv_leaves_undefined_cells_empty(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json", {"n": 3, "c": ["1", "0", "0"]})
+        csv_path = tmp_path / "alpha.csv"
+        argv = ["alpha", f, "--range=-1:1", "--samples", "3", "--csv", str(csv_path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert csv_path.read_text().splitlines() == ["x,alpha", "-1,1.33333333333", "0,", "1,0"]
+
+    def test_fractional_range(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json", EX11)
+        code, out, err = run(capsys, "alpha", f, "--range", "1/3:1/2", "--samples", "4")
+        assert code == 0 and err == ""
+        rows = json.loads(out)["extras"]["rows"]
+        assert rows == alpha_oracle(EX11, F(1, 3), F(1, 2), 4)
+        assert [x for x, _ in rows] == ["0.333333333333", "0.388888888889", "0.444444444444", "0.5"]
+
+    def test_huge_abscissae(self, tmp_path, capsys):
+        # p * p'' and p'^2 are beyond the float range here; their ratio is near 4/5
+        f = write_json(tmp_path / "f.json", EX11)
+        code, out, _ = run(capsys, "alpha", f, "--range=1e300:1e301", "--samples", "3")
+        extras = json.loads(out)["extras"]
+        lo, hi = parse_rational("1e300"), parse_rational("1e301")
+        assert code == 0 and extras["rows"] == alpha_oracle(EX11, lo, hi, 3)
+        assert [v for _, v in extras["rows"]] == ["0.8"] * 3
+        assert extras["max_value"] == "0.8" and extras["monotone_nondecreasing"] is True
+
+    def test_ex11_rows_match_oracle(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json", EX11)
+        code, out, _ = run(capsys, "alpha", f, "--range", "11.7:18", "--samples", "64")
+        extras = json.loads(out)["extras"]
+        assert code == 0 and extras["rows"] == alpha_oracle(EX11, F("11.7"), F(18), 64)
+        assert extras["max_value"] == extras["rows"][-1][1]
 
 
 class TestDeform:
@@ -294,6 +390,38 @@ class TestDeform:
         assert extras["curves"] == 12 and extras["descending_in_y"] is True
         code, out, _ = run(capsys, "certify", f)
         assert code == 0 and json.loads(out)["verdict"] == "strictly-stable-convex"
+
+    def test_window_narrower_than_a_double(self, tmp_path, capsys):
+        # roots 0 and 10^-800: every curve parameter is below the smallest double
+        obj = {"n": 2, "c": ["1e-1600", "0"]}
+        f = write_json(tmp_path / "f.json", obj)
+        code, out, _ = run(capsys, "deform", f, "--samples", "2")
+        extras = json.loads(out)["extras"]
+        assert code == 0 and extras["rows"] == deform_oracle(restriction(obj), 2)
+        ys = [y for _, y, _ in extras["rows"]]
+        assert len(set(ys)) == 12 and "0" not in ys
+        assert extras["min_margin"] != "0" and extras["descending_in_y"] is True
+
+    @pytest.mark.parametrize(
+        "argv, oracle",
+        [
+            (["{ex11}", "--samples", "16"], lambda: deform_oracle(restriction(EX11), 16)),
+            (
+                ["--poly", FIG2_QUARTIC, "--y-grid", "2.25:5:12", "--samples", "40", "--x-max=8.4"],
+                lambda: deform_oracle(
+                    Poly(map(int, FIG2_QUARTIC.split(","))),
+                    40,
+                    ys=[F(9, 4) + F(1, 4) * i for i in range(12)],
+                    x_max=F(42, 5),
+                ),
+            ),
+        ],
+        ids=["ex11-default-grid", "fig2-quartic"],
+    )
+    def test_rows_match_oracle(self, tmp_path, capsys, argv, oracle):
+        ex11 = write_json(tmp_path / "f.json", EX11)
+        code, out, _ = run(capsys, "deform", *[arg.format(ex11=ex11) for arg in argv])
+        assert code == 0 and json.loads(out)["extras"]["rows"] == oracle()
 
     def test_full_multiplicity_top_root_exit_3(self, capsys):
         # x^2: the top root has multiplicity n, so the window is a single point
@@ -569,10 +697,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("x_max", ["1e400", "-1e400"])
     def test_deform_x_max_beyond_float(self, tmp_path, capsys, x_max):
+        # the sample abscissae are exact, so any rational --x-max is a profile
         path = write_json(tmp_path / "f.json", EX11)
         code, out, err = run(capsys, "deform", path, f"--x-max={x_max}", "--samples", "2")
-        assert code == 2 and out == "" and err.startswith("error:")
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        oracle = deform_oracle(restriction(EX11), 2, x_max=parse_rational(x_max))
+        assert json.loads(out)["extras"]["rows"] == oracle
 
     @pytest.mark.parametrize(
         "argv",
@@ -584,11 +714,19 @@ class TestMalformedInput:
         ids=["certify-convexity-pairs", "alpha", "deform"],
     )
     def test_float_report_of_huge_coefficients(self, tmp_path, capsys, argv):
-        # the exact certificate holds, its float profile leaves the float range
-        path = write_json(tmp_path / "f.json", {"n": 2, "c": ["1e1600", "0"]})
+        # the exact certificate holds; only the float midpoint sampling leaves the
+        # float range, the exact ratio profiles do not
+        obj = {"n": 2, "c": ["1e1600", "0"]}
+        path = write_json(tmp_path / "f.json", obj)
         code, out, err = run(capsys, argv[0], path, *argv[1:])
-        assert code == 2 and out == "" and err.startswith("error:")
-        assert len(err.splitlines()) == 1
+        if argv[0] == "certify":
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert len(err.splitlines()) == 1
+        elif argv[0] == "alpha":
+            assert code == 0 and json.loads(out)["extras"]["rows"] == alpha_oracle(obj, 0, 1, 2)
+        else:
+            oracle = deform_oracle(restriction(obj), 2)
+            assert code == 0 and json.loads(out)["extras"]["rows"] == oracle
         code, out, _ = run(capsys, "certify", path)
         assert code == 0 and json.loads(out)["verdict"] == "strictly-stable-convex"
 
@@ -599,11 +737,12 @@ class TestMalformedInput:
         assert code == 2 and err.startswith("error:")
 
     def test_alpha_range_width_beyond_float(self, tmp_path, capsys):
-        # both ends are finite floats, hi - lo is not
+        # both ends are finite floats, hi - lo is not; the exact grid has no such limit
         path = write_json(tmp_path / "f.json", EX11)
         code, out, err = run(capsys, "alpha", path, "--range=-1e308:1e308", "--samples", "3")
-        assert code == 2 and out == "" and err.startswith("error:")
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        lo, hi = parse_rational("-1e308"), parse_rational("1e308")
+        assert json.loads(out)["extras"]["rows"] == alpha_oracle(EX11, lo, hi, 3)
 
     def test_huge_exponent_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError):
