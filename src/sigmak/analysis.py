@@ -5,9 +5,10 @@ from critical points, extended by its limit at isolated critical points
 (signed infinity allowed, 0 by definition where critical points accumulate).
 For chain-certified polynomials the ratio increases monotonically above the
 largest derivative root toward ``1 - 1/n``, and it drops as the top root is
-deformed upwards.  The profiles behind ``alpha`` and ``deform`` are exact:
-rational grids, and ratios of integer Horner values, so only the printing
-rounds.  ``certify --convexity-pairs`` samples its points in floating point.
+deformed upwards; ``deformation_family`` owns that family, its window and
+its grids.  The profiles behind ``alpha`` and ``deform`` are exact: rational
+grids, and ratios of integer Horner values, so only the printing rounds.
+``certify --convexity-pairs`` samples its points in floating point.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .equations import (
     cone_membership,
     sample_region,
 )
-from .errors import NotCertified, NotStableEquation, OutOfDeformationRange
+from .errors import NotCertified, NotStableEquation, OutOfDeformationRange, SigmaKError
 from .poly import Poly, _primitive_ints, _value, derivative, evaluate, taylor_shift
-from .realroots import Order, compare, from_rational
+from .realroots import Order, bracket, compare, from_rational
 from .rootchain import ChainCertificate, certify_right
 
 
@@ -163,6 +164,24 @@ def _x_max(cert: ChainCertificate, x_max) -> Fraction:
     return cert.x0_bracket[1] * Fraction(17, 10) + 1 if x_max is None else Fraction(x_max)
 
 
+# curves in the default deformation grid
+DEFORM_CURVES = 12
+
+
+def _default_grid(cert: ChainCertificate) -> list[Fraction]:
+    """``DEFORM_CURVES`` parameters evenly inside the deformation window, its upper end last."""
+    m = cert.top_multiplicity or 1
+    if m >= len(cert.chain):
+        raise SigmaKError("degenerate deformation window")
+    # chain[m] < chain[0] when m < n, so deep enough brackets separate them
+    digits, low, high = 6, bracket(cert.chain[m], 6)[1], cert.x0_bracket[0]
+    while not high > low:
+        digits *= 2
+        low, high = bracket(cert.chain[m], digits)[1], bracket(cert.chain[0], digits)[0]
+    step = (high - low) / DEFORM_CURVES
+    return [low + step * i for i in range(1, DEFORM_CURVES + 1)]
+
+
 @dataclass(frozen=True)
 class DescentReport:
     curves: int
@@ -171,38 +190,38 @@ class DescentReport:
     all_positive: bool
 
 
-def deformation_alpha_descent(
+def deformation_family(
     p: Poly,
-    y_grid: Sequence,
-    *,
-    x_count: int = 200,
+    y_grid: Optional[Sequence],
+    x_count: int,
+    descent_count: int,
     x_max=None,
+    *,
     certificate: Optional[ChainCertificate] = None,
-) -> DescentReport:
-    """Verify the ratio strictly drops as the deformation parameter grows.
+) -> tuple[list[tuple[Fraction, Fraction, object]], DescentReport]:
+    """Exact (x, y, alpha) rows of the deformed ratios, and their descent in ``y``.
 
-    For every adjacent pair of grid parameters the two deformed ratios are
-    compared at shared x samples above the larger parameter; the minimum
-    observed margin is reported (positive means strict descent everywhere).
+    ``y_grid`` None takes ``_default_grid``.  Each curve is deformed once.
+    Its rows take ``x_count`` samples from just above its parameter; each
+    adjacent pair is compared at ``descent_count`` samples above the larger
+    parameter, and a positive minimum margin means strict descent.
     """
     cert = certificate if certificate is not None else certify_right(p)
     if not cert.succeeded:
-        raise NotCertified("descent check needs a chain-certified polynomial")
-    ys = sorted(Fraction(v) for v in y_grid)
+        raise NotCertified("deformation needs a chain-certified polynomial")
+    ys = sorted(Fraction(v) for v in (_default_grid(cert) if y_grid is None else y_grid))
     ratios = [_ratio(deformation(p, y, certificate=cert).poly) for y in ys]
     x_max = _x_max(cert, x_max)
-    margins = []
+    rows, margins = [], []
+    for y, ratio in zip(ys, ratios):
+        rows += [(x, y, ratio(x)) for x in _grid(y + _DESCENT_X_MARGIN, x_max, x_count)]
     for y_b, ratio_a, ratio_b in zip(ys[1:], ratios, ratios[1:]):
         lo = y_b + _DESCENT_X_MARGIN
         if lo < x_max:
-            margins += [ratio_a(x) - ratio_b(x) for x in _grid(lo, x_max, x_count + 1)[1:]]
-    min_margin = min(margins, default=None)
-    return DescentReport(
-        curves=len(ys),
-        comparisons=len(margins),
-        min_margin=min_margin,
-        all_positive=len(ys) < 2 or (min_margin is not None and min_margin > 0),
-    )
+            margins += [ratio_a(x) - ratio_b(x) for x in _grid(lo, x_max, descent_count + 1)[1:]]
+    low = min(margins, default=None)
+    ok = len(ys) < 2 or (low is not None and low > 0)
+    return rows, DescentReport(len(ys), len(margins), low, ok)
 
 
 @dataclass(frozen=True)
@@ -251,23 +270,3 @@ def alpha_profile(p: Poly, lo, hi, count: int) -> list[tuple[Fraction, object]]:
         raise ValueError("empty range")
     ratio = _ratio(p)
     return [(x, ratio(x)) for x in _grid(lo, hi, count)]
-
-
-def deformation_profile(
-    p: Poly,
-    y_grid: Sequence,
-    x_count: int,
-    x_max=None,
-    *,
-    certificate: Optional[ChainCertificate] = None,
-) -> list[tuple[Fraction, Fraction, object]]:
-    """Exact (x, y, alpha) rows for the family of deformed ratios, for CSV plotting."""
-    cert = certificate if certificate is not None else certify_right(p)
-    if not cert.succeeded:
-        raise NotCertified("deformation profile needs a certified polynomial")
-    x_max = _x_max(cert, x_max)
-    rows = []
-    for y in sorted(Fraction(v) for v in y_grid):
-        ratio = _ratio(deformation(p, y, certificate=cert).poly)
-        rows += [(x, y, ratio(x)) for x in _grid(y + _DESCENT_X_MARGIN, x_max, x_count)]
-    return rows

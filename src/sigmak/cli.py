@@ -31,7 +31,6 @@ from .errors import OutOfDeformationRange, SigmaKError
 from .poly import Poly
 from .rationals import format_rational, format_significant, parse_rational
 from .realroots import Order, bracket, rounded
-from .rootchain import certify_right
 
 SCHEMA_VERSION = "1"
 EXIT_USAGE = 2
@@ -42,8 +41,6 @@ EXIT_CONTRACT = 3
 MAX_DIGITS = 100
 MAX_PRESET_DEGREE = 1000
 MAX_SAMPLES = 10000
-# curves in the default `deform` grid
-DEFORM_CURVES = 12
 
 
 class UsageError(Exception):
@@ -276,6 +273,8 @@ def _alpha(args, state):
 
 
 def _parse_grid(text: str) -> list[Fraction]:
+    from . import analysis
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -286,17 +285,18 @@ def _parse_grid(text: str) -> list[Fraction]:
             raise UsageError(f"bad grid: {exc}") from exc
         if not 1 <= count <= MAX_SAMPLES or not hi >= lo:
             raise UsageError(f"grid needs lo <= hi and 1 <= count <= {MAX_SAMPLES}")
-        if count == 1:
-            return [lo]
-        step = (hi - lo) / (count - 1)
-        return [lo + step * i for i in range(count)]
+        return analysis._grid(lo, hi, count)
     return [_rational(part, "grid") for part in text.split(",")]
 
 
 def _parse_deform(args):
+    from . import analysis
+
     if args.poly:
         coeffs = [_rational(part, "polynomial") for part in args.poly.split(",")]
         target = Poly(coeffs)
+        if target.degree < 1:
+            raise UsageError("--poly needs a polynomial of degree at least 1")
         input_obj = {"poly": [format_rational(c) for c in coeffs]}
     else:
         if not args.input:
@@ -307,7 +307,7 @@ def _parse_deform(args):
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
     grid = _parse_grid(args.y_grid) if args.y_grid else None
-    curves = DEFORM_CURVES if grid is None else len(grid)
+    curves = analysis.DEFORM_CURVES if grid is None else len(grid)
     if args.samples * curves > MAX_SAMPLES:
         raise UsageError(
             f"--samples times the {curves} grid curves must be at most {MAX_SAMPLES}"
@@ -316,31 +316,13 @@ def _parse_deform(args):
     return input_obj, (target, grid, x_max)
 
 
-def _default_grid(cert) -> list[Fraction]:
-    """``DEFORM_CURVES`` parameters evenly inside the deformation window, its upper end last."""
-    m = cert.top_multiplicity or 1
-    if m >= len(cert.chain):
-        raise SigmaKError("degenerate deformation window")
-    # chain[m] < chain[0] when m < n, so deep enough brackets separate them
-    digits, low, high = 6, bracket(cert.chain[m], 6)[1], cert.x0_bracket[0]
-    while not high > low:
-        digits *= 2
-        low, high = bracket(cert.chain[m], digits)[1], bracket(cert.chain[0], digits)[0]
-    step = (high - low) / DEFORM_CURVES
-    return [low + step * i for i in range(1, DEFORM_CURVES + 1)]
-
-
 def _deform(args, state):
     from . import analysis
 
     target, grid, x_max = state
-    cert = certify_right(target)
-    if not cert.succeeded:
-        raise SigmaKError("deformation needs a chain-certified polynomial")
-    grid = _default_grid(cert) if grid is None else grid
     try:
-        rows = analysis.deformation_profile(
-            target, grid, args.samples, x_max, certificate=cert
+        rows, descent = analysis.deformation_family(
+            target, grid, args.samples, min(args.samples, 64), x_max
         )
     except OutOfDeformationRange as exc:
         # the grid value may be hundreds of digits long: name the window, not the value
@@ -348,15 +330,8 @@ def _deform(args, state):
             "--y-grid values must lie in the deformation window: from the largest root"
             " of p^(m), m the top root's multiplicity, to the largest root of p"
         ) from exc
-    descent = analysis.deformation_alpha_descent(
-        target,
-        grid,
-        x_count=min(args.samples, 64),
-        x_max=x_max,
-        certificate=cert,
-    )
     extras = {
-        "curves": len(grid),
+        "curves": descent.curves,
         "descending_in_y": descent.all_positive,
         "min_margin": format_significant(descent.min_margin),
     }
@@ -371,48 +346,52 @@ def _preset_degree(text: str) -> int:
     return n
 
 
+# the parameters each preset takes; nonneg takes n and then n - 1 coefficients
+PRESET_PARAMS = {
+    "monge-ampere": "n c0",
+    "j-equation": "n c_top",
+    "hessian": "n k ck",
+    "nonneg": "n c_0 ... c_{n-2}",
+    "guan-zhang": "n c_0 ... c_{n-2}",
+    "dhym": "n theta",
+}
+
+
 def _cmd_preset(args) -> int:
-    from .presets import (
-        DhymSpec,
-        dhym,
-        hessian_type,
-        j_equation,
-        monge_ampere,
-        nonneg_coeff,
-        parse_phase,
-    )
+    from . import presets
 
     name = args.name
     params = args.params
     extras = {}
     if not 0 <= args.precision <= MAX_DIGITS:
         raise UsageError(f"--precision must be between 0 and {MAX_DIGITS}")
+    if name not in PRESET_PARAMS:
+        raise UsageError(f"unknown preset {name!r}")
+    takes = PRESET_PARAMS[name]
     try:
+        n = _preset_degree(params[0]) if params else None
+        # nonneg takes n parameters in all
+        if len(params) != (n if "..." in takes else len(takes.split())):
+            raise UsageError(f"preset {name} takes the parameters {takes}, got {len(params)}")
         if name == "monge-ampere":
-            equation = monge_ampere(_preset_degree(params[0]), parse_rational(params[1]))
+            equation = presets.monge_ampere(n, parse_rational(params[1]))
         elif name == "j-equation":
-            equation = j_equation(_preset_degree(params[0]), parse_rational(params[1]))
+            equation = presets.j_equation(n, parse_rational(params[1]))
         elif name == "hessian":
-            equation = hessian_type(
-                _preset_degree(params[0]), int(params[1]), parse_rational(params[2])
-            )
+            equation = presets.hessian_type(n, int(params[1]), parse_rational(params[2]))
         elif name in ("nonneg", "guan-zhang"):
-            n = _preset_degree(params[0])
             lower = [parse_rational(v) for v in params[1:]]
-            equation = nonneg_coeff(n, lower, parse_rational(args.top)).equation
-        elif name == "dhym":
-            n = _preset_degree(params[0])
-            mult, offset = parse_phase(params[1])
-            result = dhym(DhymSpec(n, mult, offset, args.precision))
+            equation = presets.nonneg_coeff(n, lower, parse_rational(args.top)).equation
+        else:
+            mult, offset = presets.parse_phase(params[1])
+            result = presets.dhym(presets.DhymSpec(n, mult, offset, args.precision))
             equation = result.equation
             extras = {
                 "expected_chain": [f"{v:.12g}" for v in result.expected_chain],
                 "branch": result.branch,
                 "mode": "numeric (non-certificate)",
             }
-        else:
-            raise UsageError(f"unknown preset {name!r}")
-    except (IndexError, ValueError, ZeroDivisionError, SigmaKError) as exc:
+    except (ValueError, ZeroDivisionError, SigmaKError) as exc:
         # SigmaKError: a constructor's range check on a parameter
         raise UsageError(f"bad preset parameters: {exc}") from exc
     payload = dict(_equation_json(equation))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import random
 from itertools import combinations
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
+    InvalidPoint,
     NotStableEquation,
     SamplingExhausted,
 )
@@ -163,7 +165,22 @@ class MembershipReport:
 
 
 def _is_exact_point(point: Sequence) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in point)
+    """Whether every coordinate is an int or a Fraction.
+
+    A bool, a coordinate that is not a ``numbers.Real`` and a non-finite
+    float raise ``InvalidPoint``; the check costs no pass of its own.
+    """
+    exact = True
+    for i, v in enumerate(point):
+        if isinstance(v, (int, Fraction)):
+            if not isinstance(v, bool):
+                continue
+        # a float is a numbers.Real; testing it first skips the slower ABC check
+        elif (isinstance(v, float) or isinstance(v, numbers.Real)) and math.isfinite(v):
+            exact = False
+            continue
+        raise InvalidPoint(f"coordinate {i} is {v!r:.40}, not a finite real number")
+    return exact
 
 
 def _empty_sigmas(size: int, exact: bool) -> list:

@@ -21,6 +21,10 @@ class DimensionMismatch(SigmaKError):
     """A point or equation has the wrong number of coordinates."""
 
 
+class InvalidPoint(SigmaKError):
+    """A point coordinate is a bool, not a real number, or not finite."""
+
+
 class NotStableEquation(SigmaKError):
     """The operation requires a (strictly) stable equation."""
 

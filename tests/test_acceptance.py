@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from sigmak.analysis import deformation_alpha_descent, midpoint_convexity_test
+from sigmak.analysis import deformation_family, midpoint_convexity_test
 from sigmak.cli import main
 from sigmak.equations import (
     SigmaKPolynomial,
@@ -187,9 +187,7 @@ def test_06_log_concavity_ratio_laws():
 def test_07_deformation_descent():
     with criterion("07 deformation ratio descent"):
         y_grid = [F(9, 4) + F(1, 4) * i for i in range(12)]  # 12 points in [x_m, x_0]
-        report = deformation_alpha_descent(
-            FIG2_QUARTIC, y_grid, x_count=200, x_max=F(42, 5)
-        )
+        _, report = deformation_family(FIG2_QUARTIC, y_grid, 200, 200, F(42, 5))
         assert report.curves == 12
         assert report.all_positive
         assert report.min_margin > 0

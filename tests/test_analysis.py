@@ -9,8 +9,7 @@ from sigmak.analysis import (
     alpha,
     alpha_profile,
     deformation,
-    deformation_alpha_descent,
-    deformation_profile,
+    deformation_family,
 )
 from sigmak.equations import (
     SigmaKPolynomial,
@@ -260,14 +259,12 @@ class TestDeformation:
 
 class TestDescent:
     def test_fig2_family(self):
-        report = deformation_alpha_descent(
-            FIG2_QUARTIC, FIG2_Y_GRID, x_count=50, x_max=F(42, 5)
-        )
+        _, report = deformation_family(FIG2_QUARTIC, FIG2_Y_GRID, 50, 50, F(42, 5))
         assert report.all_positive
         assert report.min_margin > 0
 
     def test_single_curve_vacuous(self):
-        report = deformation_alpha_descent(FIG2_QUARTIC, [F(3)], x_count=10, x_max=F(8))
+        _, report = deformation_family(FIG2_QUARTIC, [F(3)], 10, 10, F(8))
         assert report.all_positive and report.comparisons == 0
 
     def test_random_cubic_descent(self):
@@ -286,9 +283,7 @@ class TestDescent:
             if hi - lo < F(1, 2):
                 continue
             grid = [lo + (hi - lo) * F(i, 5) for i in range(1, 6)]
-            report = deformation_alpha_descent(
-                p, grid, x_count=30, x_max=hi + 4, certificate=cert
-            )
+            _, report = deformation_family(p, grid, 30, 30, hi + 4, certificate=cert)
             assert report.all_positive
             seen += 1
 
@@ -422,6 +417,6 @@ class TestProfiles:
         assert rows == [(-1, F(4, 3)), (0, None), (1, 0)]
 
     def test_deformation_profile_rows(self):
-        rows = deformation_profile(FIG2_QUARTIC, [F(3), F(4)], 8, F(42, 5))
+        rows, _ = deformation_family(FIG2_QUARTIC, [F(3), F(4)], 8, 8, F(42, 5))
         assert len(rows) == 16
         assert {y for _, y, _ in rows} == {3.0, 4.0}

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sigmak
-from sigmak.analysis import alpha, deformation
-from sigmak.cli import _default_grid, canonical_body, main
+from sigmak.analysis import _default_grid, alpha, deformation
+from sigmak.cli import canonical_body, main
 from sigmak.equations import SigmaKPolynomial, diagonal_restriction
 from sigmak.poly import Poly
 from sigmak.rationals import format_significant as fmt, parse_rational
@@ -37,16 +37,33 @@ def alpha_oracle(obj, lo, hi, samples):
 
 
 def deform_oracle(p, samples, ys=None, x_max=None):
-    """The rows ``deform`` prints, from ``alpha`` at each deformed polynomial, rounded once."""
+    """The extras ``deform`` prints, from ``alpha`` at each deformed polynomial, rounded once.
+
+    The rows sample each curve from just above its parameter; the descent
+    check compares adjacent curves at ``min(samples, 64)`` points above the
+    larger parameter and reports the smallest margin.
+    """
     cert = certify_right(p)
-    ys = _default_grid(cert) if ys is None else ys
+    ys = sorted(_default_grid(cert) if ys is None else ys)
     x_max = cert.x0_bracket[1] * F(17, 10) + 1 if x_max is None else x_max
+    curves = [deformation(p, y, certificate=cert).poly for y in ys]
     rows = []
-    for y in ys:
-        q = deformation(p, y, certificate=cert).poly
+    for y, q in zip(ys, curves):
         xs = even_grid(y + F(1, 100), x_max, samples)
         rows += [[fmt(x), fmt(y), fmt(alpha(q, x).alpha)] for x in xs]
-    return rows
+    margins = []
+    for y_b, q_a, q_b in zip(ys[1:], curves, curves[1:]):
+        lo = y_b + F(1, 100)
+        if lo < x_max:
+            xs = even_grid(lo, x_max, min(samples, 64) + 1)[1:]
+            margins += [alpha(q_a, x).alpha - alpha(q_b, x).alpha for x in xs]
+    low = min(margins, default=None)
+    return {
+        "curves": len(ys),
+        "descending_in_y": len(ys) < 2 or (low is not None and low > 0),
+        "min_margin": fmt(low),
+        "rows": rows,
+    }
 
 
 def write_json(path: Path, obj) -> str:
@@ -397,7 +414,7 @@ class TestDeform:
         f = write_json(tmp_path / "f.json", obj)
         code, out, _ = run(capsys, "deform", f, "--samples", "2")
         extras = json.loads(out)["extras"]
-        assert code == 0 and extras["rows"] == deform_oracle(restriction(obj), 2)
+        assert code == 0 and extras == deform_oracle(restriction(obj), 2)
         ys = [y for _, y, _ in extras["rows"]]
         assert len(set(ys)) == 12 and "0" not in ys
         assert extras["min_margin"] != "0" and extras["descending_in_y"] is True
@@ -421,12 +438,23 @@ class TestDeform:
     def test_rows_match_oracle(self, tmp_path, capsys, argv, oracle):
         ex11 = write_json(tmp_path / "f.json", EX11)
         code, out, _ = run(capsys, "deform", *[arg.format(ex11=ex11) for arg in argv])
-        assert code == 0 and json.loads(out)["extras"]["rows"] == oracle()
+        extras = json.loads(out)["extras"]
+        assert code == 0 and extras == oracle()
+        assert extras["descending_in_y"] is True and extras["min_margin"] is not None
 
     def test_full_multiplicity_top_root_exit_3(self, capsys):
-        # x^2: the top root has multiplicity n, so the window is a single point
-        code, out, err = run(capsys, "deform", "--poly", "0,0,1", "--samples", "2")
-        assert code == 3 and out == "" and "degenerate deformation window" in err
+        # x^2: the top root has multiplicity n, so the window is a single point;
+        # so is the one root of a linear polynomial
+        for poly in ("0,0,1", "1,2"):
+            code, out, err = run(capsys, "deform", "--poly", poly, "--samples", "2")
+            assert code == 3 and out == "" and "degenerate deformation window" in err
+
+    @pytest.mark.parametrize("poly", ["5", "0", "0,0"])
+    def test_poly_below_degree_one_is_usage_error(self, capsys, poly):
+        # a constant has no root to deform; `certify` refuses n = 0 the same way
+        code, out, err = run(capsys, "deform", "--poly", poly, "--samples", "2")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "degree at least 1" in err
 
 
 class TestPreset:
@@ -456,6 +484,27 @@ class TestPreset:
     def test_unknown_preset_exit_2(self, capsys):
         code, _, _ = run(capsys, "preset", "unknown-name")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("monge-ampere", ["3", "1"]),
+            ("j-equation", ["4", "2"]),
+            ("hessian", ["4", "1", "3"]),
+            ("nonneg", ["4", "1", "2", "3"]),
+            ("guan-zhang", ["4", "1", "2", "3"]),
+            ("dhym", ["3", "3/4pi"]),
+        ],
+    )
+    def test_parameter_count(self, capsys, name, params):
+        # one too many, one too few and none: each is named, none is ignored
+        code, _, _ = run(capsys, "preset", name, *params)
+        assert code == 0
+        for wrong in (params + ["9"], params[:-1], []):
+            code, out, err = run(capsys, "preset", name, *wrong)
+            assert code == 2 and out == "" and len(err.splitlines()) == 1
+            assert err.startswith(f"error: preset {name} takes the parameters n ")
+            assert err.endswith(f", got {len(wrong)}\n")
 
     def test_pipe_closure(self, tmp_path, capsys):
         presets = [
@@ -702,7 +751,7 @@ class TestMalformedInput:
         code, out, err = run(capsys, "deform", path, f"--x-max={x_max}", "--samples", "2")
         assert code == 0 and err == ""
         oracle = deform_oracle(restriction(EX11), 2, x_max=parse_rational(x_max))
-        assert json.loads(out)["extras"]["rows"] == oracle
+        assert json.loads(out)["extras"] == oracle
 
     @pytest.mark.parametrize(
         "argv",
@@ -726,7 +775,7 @@ class TestMalformedInput:
             assert code == 0 and json.loads(out)["extras"]["rows"] == alpha_oracle(obj, 0, 1, 2)
         else:
             oracle = deform_oracle(restriction(obj), 2)
-            assert code == 0 and json.loads(out)["extras"]["rows"] == oracle
+            assert code == 0 and json.loads(out)["extras"] == oracle
         code, out, _ = run(capsys, "certify", path)
         assert code == 0 and json.loads(out)["verdict"] == "strictly-stable-convex"
 

@@ -22,6 +22,7 @@ from sigmak.equations import (
 )
 from sigmak.errors import (
     DimensionMismatch,
+    InvalidPoint,
     NotStableEquation,
     SamplingExhausted,
 )
@@ -186,6 +187,24 @@ class TestMembership:
     def test_not_stable_rejected(self):
         with pytest.raises(NotStableEquation):
             cone_membership(SigmaKPolynomial(2, (F(-1), F(0))), [F(1), F(1)])
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["12", True, False, None, 1j, float("nan"), float("inf"), float("-inf")],
+        ids=["str", "true", "false", "none", "complex", "nan", "inf", "minus-inf"],
+    )
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_refused_coordinate(self, bad, exhaustive):
+        # in place of the first coordinate of a deep point, alone among ints or floats
+        for rest in ((13, 14, 15, 16), (13.0, 14.0, 15.0, 16.0)):
+            with pytest.raises(InvalidPoint, match="coordinate 0 is "):
+                cone_membership(EXAMPLE_11, (bad,) + rest, exhaustive=exhaustive)
+
+    def test_accepted_coordinates(self):
+        # ints, Fractions and finite floats mix; a float makes the point a float one
+        assert cone_membership(EXAMPLE_11, (12, F(13), 14, 15, 16)).member_level == 0
+        mixed = cone_membership(EXAMPLE_11, (12.0, F(13), 14, 15, 16))
+        assert mixed == cone_membership(EXAMPLE_11, (12.0, 13.0, 14.0, 15.0, 16.0))
 
     def test_sorted_shortcut_matches_exhaustive(self):
         rng = random.Random(46)

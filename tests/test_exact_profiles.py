@@ -13,14 +13,13 @@ from fractions import Fraction as F
 import pytest
 
 from sigmak.analysis import (
+    _default_grid,
     _ratio,
     alpha,
     alpha_profile,
     deformation,
-    deformation_alpha_descent,
-    deformation_profile,
+    deformation_family,
 )
-from sigmak.cli import _default_grid
 from sigmak.equations import diagonal_restriction
 from sigmak.poly import Poly, cauchy_root_bound
 from sigmak.rationals import format_significant
@@ -112,16 +111,17 @@ class TestDeformationExact:
         ids=["fig2-quartic", "ex11-default-grid"],
     )
     def test_descent_unchanged(self, p, ys, x_count, x_max):
+        # None takes the default grid and x_max, here and in the oracle's arguments
+        _, report = deformation_family(p, ys, x_count, x_count, x_max)
         cert = certify_right(p)
         ys = _default_grid(cert) if ys is None else ys
         x_max = cert.x0_bracket[1] * F(17, 10) + 1 if x_max is None else x_max
-        report = deformation_alpha_descent(p, ys, x_count=x_count, x_max=x_max)
         got = (report.comparisons, report.min_margin, report.all_positive)
         assert got == descent_one_sample_at_a_time(p, ys, x_count, x_max)
         assert report.comparisons == 11 * x_count and report.all_positive
 
     def test_profile_rows(self):
-        rows = deformation_profile(FIG2_QUARTIC, FIG2_Y_GRID[:3], 9, F(42, 5))
+        rows, _ = deformation_family(FIG2_QUARTIC, FIG2_Y_GRID[:3], 9, 9, F(42, 5))
         want = []
         for y in FIG2_Y_GRID[:3]:
             q = deformation(FIG2_QUARTIC, y).poly
