@@ -248,7 +248,7 @@ def midpoint_convexity_test(
     examples = []
     for i in range(pairs):
         a, b = points[2 * i], points[2 * i + 1]
-        mid = tuple((u + v) / 2 for u, v in zip(a, b))
+        mid = tuple(u / 2 + v / 2 for u, v in zip(a, b))
         if not cone_membership(f, mid).in_stable_component:
             failures += 1
             if len(examples) < 5:

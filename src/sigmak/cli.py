@@ -473,7 +473,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError:
-        # the float sampling of `certify --convexity-pairs` on huge values
+        # a float draw of `certify --convexity-pairs` that is itself beyond the float range
         print("error: a value of this input is outside the float range", file=sys.stderr)
         return EXIT_USAGE
     except SigmaKError as exc:

@@ -20,8 +20,11 @@ pass over the sorted coordinates serves every level: a running vector of
 symmetric functions gains one coordinate per level, and no restriction is
 built.  The exhaustive scan, asked for or forced by a float value near
 zero, evaluates every subset of a level; subsets that share a prefix of
-indices share its symmetric functions.  Both reproduce, bit for bit, the
-values of ``evaluate`` on the same coordinates in the same order.
+indices share its symmetric functions.  Both grow their vectors by the one
+recurrence of ``elementary_symmetric``, so they reproduce, bit for bit, the
+values of ``evaluate`` on the same coordinates in the same order.  A float
+point whose arithmetic leaves the float range, in a coordinate, a
+coefficient or a value, is decided in exact arithmetic instead.
 """
 
 from __future__ import annotations
@@ -67,17 +70,22 @@ class SigmaKPolynomial:
             )
 
 
+def _empty_sigmas(size: int) -> list:
+    """``e_0..e_size`` of no values, ready for ``_add_value``."""
+    return [1] + [0] * size
+
+
+def _add_value(e: list, v, top: int) -> None:
+    """One step of the recurrence: fold ``v`` into ``e_1..e_top`` in place."""
+    for j in range(top, 0, -1):
+        e[j] = e[j] + v * e[j - 1]
+
+
 def elementary_symmetric(values: Sequence) -> list:
     """e_0..e_m of the m values by the stable one-pass recurrence."""
-    m = len(values)
-    zero = 0
-    for v in values:
-        zero = zero * v  # adopt float when any coordinate is float
-    e = [zero] * (m + 1)
-    e[0] = 1 + zero
+    e = _empty_sigmas(len(values))
     for i, v in enumerate(values):
-        for j in range(i + 1, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
+        _add_value(e, v, i + 1)
     return e
 
 
@@ -183,31 +191,7 @@ def _is_exact_point(point: Sequence) -> bool:
     return exact
 
 
-def _empty_sigmas(size: int, exact: bool) -> list:
-    """``e_0..e_size`` of no values, ready for ``_add_value``."""
-    one = Fraction(1) if exact else 1.0
-    return [one] + [one - one] * size
-
-
-def _add_value(e: list, v, top: int) -> None:
-    """One step of ``elementary_symmetric``: fold ``v`` into ``e_1..e_top`` in place."""
-    for j in range(top, 0, -1):
-        e[j] = e[j] + v * e[j - 1]
-
-
-def _shared_ok(product, exact: bool) -> bool:
-    """Whether ``e_0..e_m`` grown from ``_empty_sigmas`` equal ``elementary_symmetric``'s.
-
-    ``product`` is ``e_m``, the product of the m values added.  Exact values
-    always agree.  In float, ``elementary_symmetric`` starts from a zero
-    that carries the sign of that product, and the sign reaches the result
-    only once a product of some of the values, taken in order, is 0, inf or
-    nan; ``product`` is then one too.
-    """
-    return exact or (product != 0 and math.isfinite(product))
-
-
-def _kept_subset_values(coords: list, c: Sequence, level: int, exact: bool) -> list:
+def _kept_subset_values(coords: list, c: Sequence, level: int) -> list:
     """Restriction values at every kept subset of ``n - level`` coordinates.
 
     The subsets come in lexicographic order of their indices.  Subsets that
@@ -216,23 +200,18 @@ def _kept_subset_values(coords: list, c: Sequence, level: int, exact: bool) -> l
     """
     m = len(coords) - level
     out = []
-    path = []
 
     def extend(e, start, depth):
         # leave room for the m - depth - 1 indices still to pick
         for i in range(start, level + depth + 1):
             grown = e.copy()
             _add_value(grown, coords[i], depth + 1)
-            path.append(i)
             if depth + 1 < m:
                 extend(grown, i + 1, depth + 1)
             else:
-                if not _shared_ok(grown[m], exact):
-                    grown = elementary_symmetric([coords[j] for j in path])
                 out.append(_restriction_value(grown, c, level))
-            path.pop()
 
-    extend(_empty_sigmas(m, exact), 0, 0)
+    extend(_empty_sigmas(m), 0, 0)
     return out
 
 
@@ -251,29 +230,45 @@ def cone_membership(
     one running vector gains one coordinate per level.  Level 0 evaluates
     f at the point as given.  The exhaustive scan (``exhaustive``, or a
     float value within ten margins of zero) minimises over every subset,
-    sharing the symmetric functions of common index prefixes.  ``margin``
+    sharing the symmetric functions of common index prefixes.  Every value
+    comes from the one recurrence of ``elementary_symmetric``.  ``margin``
     widens every strict inequality to ``> margin`` (defaults to 0 exactly,
-    1e-9 in float mode).
+    1e-9 for a float point).  A float point whose coordinates, coefficients
+    or values leave the float range is decided in exact arithmetic, with
+    the same margin.
     """
     report = certify_stable(f)
     if not report.is_stable:
         raise NotStableEquation("membership is only defined for stable equations")
-    n = f.n
-    if len(point) != n:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {n}")
+    if len(point) != f.n:
+        raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
     exact = _is_exact_point(point)
     if margin is None:
         margin = Fraction(0) if exact else FLOAT_MARGIN
-    if exact:
-        coords = [Fraction(v) for v in point]
-        c = f.c
-    else:
-        # a Fraction times a float is computed as the float of the Fraction times it
-        coords = [float(v) for v in point]
-        c = [float(v) for v in f.c]
+    if not exact:
+        try:
+            # a Fraction times a float is computed as the float of the Fraction times it
+            coords = [float(v) for v in point]
+            c = [float(v) for v in f.c]
+            return _scan_levels(f, coords, c, exhaustive, margin, 10 * float(margin))
+        except OverflowError:
+            pass
+    return _scan_levels(f, [Fraction(v) for v in point], f.c, exhaustive, margin, None)
+
+
+def _scan_levels(
+    f: SigmaKPolynomial, coords: list, c: Sequence, exhaustive: bool, margin, near
+) -> MembershipReport:
+    """``cone_membership`` in the arithmetic of ``coords`` and ``c``.
+
+    ``near`` is the float bound that forces the exhaustive scan, None in
+    exact arithmetic; a float value that is not finite raises
+    ``OverflowError``.
+    """
+    n = f.n
     order = sorted(range(n), key=lambda i: coords[i])
     ascending = [coords[i] for i in order]
-    running = _empty_sigmas(n, exact)
+    running = _empty_sigmas(n)
 
     level_values = []
     failing_level = None
@@ -285,17 +280,20 @@ def cone_membership(
         else:
             m = n - level
             _add_value(running, ascending[m - 1], m)
-            e = running if _shared_ok(running[m], exact) else elementary_symmetric(ascending[:m])
-            value = _restriction_value(e, c, level)
+            value = _restriction_value(running, c, level)
             worst = tuple(sorted(order[m:]))
-            if exhaustive or (not exact and abs(value) <= 10 * float(margin)):
+            if exhaustive or (near is not None and abs(value) <= near):
                 # dropped sets in lexicographic order are the complements of
                 # the kept sets in reverse lexicographic order
-                kept_values = _kept_subset_values(coords, c, level, exact)
+                kept_values = _kept_subset_values(coords, c, level)
                 for dropped, v in zip(combinations(range(n), level), reversed(kept_values)):
+                    if near is not None and not math.isfinite(v):
+                        raise OverflowError("a subset value left the float range")
                     if v < value:
                         value = v
                         worst = dropped
+        if near is not None and not math.isfinite(value):
+            raise OverflowError("a level value left the float range")
         level_values.append((level, value))
         if not value > margin:
             failing_level = level

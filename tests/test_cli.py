@@ -779,6 +779,17 @@ class TestMalformedInput:
         code, out, _ = run(capsys, "certify", path)
         assert code == 0 and json.loads(out)["verdict"] == "strictly-stable-convex"
 
+    def test_convexity_pairs_near_the_float_limit(self, tmp_path, capsys, monkeypatch):
+        # roots near 6e307: the sampled points are floats, but their symmetric
+        # functions are beyond the float range, so membership decides them
+        # exactly; each midpoint halves before it adds
+        monkeypatch.setenv("SIGMAK_SEED", "0")
+        path = write_json(tmp_path / "f.json", {"n": 3, "c": ["0", "0", "2e307"]})
+        code, out, err = run(capsys, "certify", path, "--convexity-pairs", "5")
+        assert code == 0 and err == ""
+        check = json.loads(out)["extras"]["midpoint_check"]
+        assert (check["pairs"], check["failures"]) == (5, 0)
+
     @pytest.mark.parametrize("bounds", ["12:inf", "-inf:12"])
     def test_alpha_infinite_range(self, tmp_path, capsys, bounds):
         path = write_json(tmp_path / "f.json", EX11)

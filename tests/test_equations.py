@@ -324,6 +324,20 @@ class TestMembershipMatchesSubsetOracle:
                 want = cone_membership_by_subsets(f, point, exhaustive=exhaustive, margin=-1.0)
                 assert repr(got) == repr(want)
 
+    def test_underflowing_products_match(self):
+        # products of these coordinates underflow to +-0.0 in some orders and
+        # not in others; every value keeps the sign that evaluate gives it
+        f = SigmaKPolynomial(3, (F(1), F(0), F(0)))
+        values = (1e-200, -1e-200, 0.0, -0.0, 5e-324, 3.0, -2.5)
+        for point in itertools.product(values, repeat=3):
+            for margin in (None, -1.0):
+                for exhaustive in (False, True):
+                    got = cone_membership(f, point, exhaustive=exhaustive, margin=margin)
+                    want = cone_membership_by_subsets(
+                        f, point, exhaustive=exhaustive, margin=margin
+                    )
+                    assert repr(got) == repr(want), (point, exhaustive, margin)
+
 
 class TestDominance:
     def test_example_pair(self):
@@ -438,6 +452,39 @@ class TestMembershipFloatMode:
             exact = cone_membership(EXAMPLE_11, point)
             floaty = cone_membership(EXAMPLE_11, [float(v) for v in point])
             assert exact.member_level == floaty.member_level
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_overflowing_values_decided_exactly(self, exhaustive):
+        # sigma_2 of (1e300,) * 5 is beyond the float range; in float, level 2
+        # read inf - inf and failed
+        got = cone_membership(EXAMPLE_11, (1e300,) * 5, exhaustive=exhaustive)
+        want = cone_membership(EXAMPLE_11, (F(10**300),) * 5, exhaustive=exhaustive)
+        assert got.member_level == want.member_level == 0
+        assert all(isinstance(v, F) for _, v in got.level_values)
+
+    def test_overflowing_subset_value_decided_exactly(self):
+        # every level value is finite in float, but the exhaustive scan of
+        # level 3 meets sigma_2(1e200, 1e200), which no float holds
+        point = (1.0, 2.0, 3.0, 1e200, 1e200)
+        got = cone_membership(EXAMPLE_11, point, exhaustive=True)
+        assert got == cone_membership(EXAMPLE_11, tuple(map(F, point)), exhaustive=True)
+        assert got.member_level == 4
+        assert all(isinstance(v, F) for _, v in got.level_values)
+
+    @pytest.mark.parametrize("big", [10**400, F(10**400)], ids=["int", "fraction"])
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_coordinate_beyond_float_range(self, big, exhaustive):
+        # one float among them makes it a float point that no float can hold
+        got = cone_membership(EXAMPLE_11, (big, 13.0, 14.0, 15.0, 16.0), exhaustive=exhaustive)
+        want = cone_membership(EXAMPLE_11, (big, 13, 14, 15, 16), exhaustive=exhaustive)
+        assert got == want and got.member_level == 0
+
+    def test_coefficient_beyond_float_range(self):
+        # c_0 = 10^1600 has no float; f < 0 at every float point, level 1 holds
+        f = SigmaKPolynomial(2, (F(10**1600), F(0)))
+        report = cone_membership(f, (1.0, 2.0))
+        assert (report.member_level, report.failing_level) == (1, 0)
+        assert report.level_values[1][1] == 2 - F(10**1600)
 
     def test_margin_rejects_boundary_point(self):
         # (1, 1) sits exactly on the product-equation level set: exact mode
