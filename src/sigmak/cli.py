@@ -174,6 +174,8 @@ _ORDER_SYMBOL = {Order.GREATER: ">", Order.EQUAL: "=", Order.LESS: "<"}
 def _parse_dominance(args):
     g = _read_equation(args.dominator)
     f = _read_equation(args.dominated)
+    if g.n != f.n:
+        raise UsageError(f"dominance needs equations of equal degree, got {g.n} and {f.n}")
     return {"dominator": _equation_json(g), "dominated": _equation_json(f)}, (g, f)
 
 
@@ -307,6 +309,9 @@ def _parse_deform(args):
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
     grid = _parse_grid(args.y_grid) if args.y_grid else None
+    if grid is not None and len(set(grid)) < len(grid):
+        # a repeated curve would be compared with itself in the descent check
+        raise UsageError("--y-grid values must be distinct")
     curves = analysis.DEFORM_CURVES if grid is None else len(grid)
     if args.samples * curves > MAX_SAMPLES:
         raise UsageError(

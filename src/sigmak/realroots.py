@@ -183,11 +183,14 @@ def refine(alpha: AlgebraicNumber, eps) -> AlgebraicNumber:
 
 
 def isolate_real_roots(p: Poly) -> list[AlgebraicNumber]:
-    """All distinct real roots of ``p``, ascending, with pairwise-disjoint intervals.
+    """All distinct real roots of ``p``, ascending, in intervals that meet at most at an end.
 
-    Intervals are produced by Sturm bisection from the Cauchy bound; rational
-    roots hit during bisection are snapped to exact points.  Multiplicities
-    come from the squarefree decomposition of ``p``.
+    Sturm bisection of the squarefree part from the Cauchy bound walks one
+    work list of open intervals with their root counts, so roots closer than
+    any recursion depth still separate.  A rational root met by bisection
+    becomes a point, and its two open sides go back on the list; a lone root
+    bracketed by opposite end signs is kept, snapped to the centre when it is
+    that.  Multiplicities come from the squarefree decomposition of ``p``.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
@@ -198,43 +201,28 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicNumber]:
         return []
     chain = sturm_chain(q)
     bound = cauchy_root_bound(q)
-    total = chain.count(-bound, bound)
-    if total == 0:
-        return []
 
     intervals: list[IsolatingInterval] = []
-
-    def split(lo: Fraction, hi: Fraction, count: int):
+    # (lo, hi, the number of roots in the open interval (lo, hi))
+    work = [(-bound, bound, chain.count(-bound, bound))]
+    while work:
+        lo, hi, count = work.pop()
         if count == 0:
-            return
+            continue
         if count == 1 and sign(evaluate(q, lo)) * sign(evaluate(q, hi)) < 0:
             center = (lo + hi) / 2
             if evaluate(q, center) == 0:
-                intervals.append(IsolatingInterval(center, center))
-            else:
-                intervals.append(IsolatingInterval(lo, hi))
-            return
+                lo = hi = center
+            intervals.append(IsolatingInterval(lo, hi))
+            continue
         mid = (lo + hi) / 2
+        left = chain.count(lo, mid)  # the roots in (lo, mid]
         if evaluate(q, mid) == 0:
-            # exact rational root: carve out a strip around it
-            w = (hi - lo) / 4
-            while (
-                evaluate(q, mid - w) == 0
-                or evaluate(q, mid + w) == 0
-                or chain.count(mid - w, mid + w) > 1
-            ):
-                w /= 2
-            left = chain.count(lo, mid - w)
-            right = chain.count(mid + w, hi)
-            split(lo, mid - w, left)
             intervals.append(IsolatingInterval(mid, mid))
-            split(mid + w, hi, right)
+            work += [(lo, mid, left - 1), (mid, hi, count - left)]
         else:
-            left = chain.count(lo, mid)
-            split(lo, mid, left)
-            split(mid, hi, count - left)
-
-    split(-bound, bound, total)
+            work += [(lo, mid, left), (mid, hi, count - left)]
+    intervals.sort(key=lambda iv: iv.lo)
 
     factors = yun_decomposition(p)
     out: list[AlgebraicNumber] = []

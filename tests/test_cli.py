@@ -810,3 +810,26 @@ class TestMalformedInput:
         path = write_json(tmp_path / "f.json", EX11)
         code, _, err = run(capsys, "membership", path, "--point", "1e100001,1,1,1,1")
         assert code == 2 and err.startswith("error:")
+
+    def test_dominance_of_different_degrees(self, tmp_path, capsys):
+        g = write_json(tmp_path / "g.json", EX11)
+        f = write_json(tmp_path / "f.json", {"n": 3, "c": ["-1", "0", "0"]})
+        for args in ((g, f), (f, g)):
+            code, out, err = run(capsys, "dominance", *args)
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", ["3,3", "3:3:3", "3,3.5,7/2"])
+    def test_deform_repeated_grid_value(self, capsys, grid):
+        # a curve compared with itself read as a descent margin of 0
+        code, out, err = run(capsys, "deform", "--poly", FIG2_QUARTIC, "--y-grid", grid,
+                             "--samples", "2")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", ["3:3:1", "3"])
+    def test_deform_single_grid_value(self, capsys, grid):
+        code, out, err = run(capsys, "deform", "--poly", FIG2_QUARTIC, "--y-grid", grid,
+                             "--samples", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out)["extras"]["curves"] == 1

@@ -7,7 +7,7 @@ import sigmak.realroots as realroots
 from sigmak.analysis import deformation
 from sigmak.equations import SigmaKPolynomial, StabilityVerdict, certify_stable, dominates
 from sigmak.errors import ZeroPolynomial
-from sigmak.poly import Poly, SturmChain, _primitive_ints, derivative
+from sigmak.poly import Poly, SturmChain, _primitive_ints, derivative, evaluate, sturm_chain
 from sigmak.presets import (
     DhymSpec,
     dhym,
@@ -29,6 +29,7 @@ from sigmak.realroots import (
     rounded,
     sign_at,
 )
+from sigmak.rationals import sign
 from sigmak.rootchain import _root_above as _root_above_ints
 
 from _oracles import closed_form_criterion, distinct_real_roots, largest_real_root, resultant
@@ -93,6 +94,53 @@ class TestIsolation:
             assert len(exact) == len(numeric)
             for a, b in zip(exact, numeric):
                 assert abs(a - b) <= 1e-6 * (1 + abs(b))
+
+
+def from_roots(roots) -> Poly:
+    p = Poly([1])
+    for r in roots:
+        p = p * Poly([-F(r), 1])
+    return p
+
+
+class TestCloseRoots:
+    """Roots closer than any recursion depth separate, each with its multiplicity."""
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [(1, 1), (1 + F(1, 2**1200), 1)],
+            [(F(1, 10**400), 1), (F(2, 10**400), 1)],
+            [(F(-3, 7), 1), (1, 2), (1 + F(1, 2**1100), 1)],
+        ],
+        ids=["pair-2^-1200-apart", "pair-near-zero", "double-root-next-to-close-root"],
+    )
+    def test_close_roots_separate(self, roots):
+        p = from_roots([r for r, m in roots for _ in range(m)])
+        found = isolate_real_roots(p)
+        assert len(found) == len(roots)
+        for a, b in zip(found, found[1:]):
+            # a shared end is no root: a point is one, and an interval's ends have signs
+            assert a.interval.hi < b.interval.lo or (
+                a.interval.hi == b.interval.lo and not (a.is_rational or b.is_rational)
+            )
+        for alpha, (root, mult) in zip(found, roots):
+            q, lo, hi = alpha.defining, alpha.interval.lo, alpha.interval.hi
+            assert alpha.interval.contains(root)
+            assert alpha.multiplicity_in_source == mult
+            if alpha.is_rational:
+                assert evaluate(q, lo) == 0
+            else:
+                assert sign(evaluate(q, lo)) * sign(evaluate(q, hi)) < 0
+                assert sturm_chain(q).count(lo, hi) == 1
+
+    def test_root_met_by_bisection_is_a_point(self):
+        # the Cauchy bound is symmetric, so the first midpoint is the root 0
+        found = isolate_real_roots(from_roots([0, F(1, 2), F(5, 8)]))
+        assert len(found) == 3
+        assert found[0].is_rational and found[0].rational_value == 0
+        assert found[1].interval.contains(F(1, 2)) and found[2].interval.contains(F(5, 8))
+        assert found[1].interval.hi <= found[2].interval.lo
 
 
 class TestLargestRoot:

@@ -346,6 +346,16 @@ class TestAgainstIsolation:
         cert = certify_right(from_roots([-1, 1]))
         assert cert.chain[0].is_rational and cert.chain[0].rational_value == 1
 
+    def test_close_root_pair(self):
+        # the reference isolates all roots of p, two of them 2^-1030 apart; the
+        # pair sits at the bottom, since mirrored at the top the reference's
+        # sign_at on x_1 between them takes seconds
+        eps = F(1, 2**1030)
+        p = from_roots([-1 - eps, -1, F(3, 7)])
+        right = certify_right(p)
+        assert_same_certificate(right, certify_right_by_isolation(p))
+        assert_isolates_simple_roots(right)
+
     def test_failure_level_not_squarefree(self):
         # missing_root counts the roots of p^(k) from its own remainder sequence,
         # so a repeated real root or complex pair there must not change it
