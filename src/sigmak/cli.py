@@ -7,8 +7,8 @@ non-canonical field.  Exit codes: 0 success (whatever the verdict), 2 usage
 or parse errors, 3 internal precondition violations.
 
 ``analysis`` and ``presets`` are imported only by the commands that use
-them, so a ``certify``, ``dominance`` or ``membership`` run loads neither,
-nor mpmath.
+them, so a ``certify``, ``dominance`` or ``membership`` run loads neither.
+No command imports anything outside the standard library.
 """
 
 from __future__ import annotations
@@ -368,10 +368,13 @@ def _cmd_preset(args) -> int:
     name = args.name
     params = args.params
     extras = {}
-    if not 0 <= args.precision <= MAX_DIGITS:
-        raise UsageError(f"--precision must be between 0 and {MAX_DIGITS}")
     if name not in PRESET_PARAMS:
         raise UsageError(f"unknown preset {name!r}")
+    for option, takers in (("--top", ("nonneg", "guan-zhang")), ("--precision", ("dhym",))):
+        if getattr(args, option[2:]) is not None and name not in takers:
+            raise UsageError(f"preset {name} does not take {option}")
+    if args.precision is not None and not 0 <= args.precision <= MAX_DIGITS:
+        raise UsageError(f"--precision must be between 0 and {MAX_DIGITS}")
     takes = PRESET_PARAMS[name]
     try:
         n = _preset_degree(params[0]) if params else None
@@ -386,21 +389,23 @@ def _cmd_preset(args) -> int:
             equation = presets.hessian_type(n, int(params[1]), parse_rational(params[2]))
         elif name in ("nonneg", "guan-zhang"):
             lower = [parse_rational(v) for v in params[1:]]
-            equation = presets.nonneg_coeff(n, lower, parse_rational(args.top)).equation
+            top = parse_rational("0" if args.top is None else args.top)
+            equation = presets.nonneg_coeff(n, lower, top).equation
         else:
             mult, offset = presets.parse_phase(params[1])
-            result = presets.dhym(presets.DhymSpec(n, mult, offset, args.precision))
+            digits = presets.DhymSpec.precision if args.precision is None else args.precision
+            result = presets.dhym(presets.DhymSpec(n, mult, offset, digits))
             equation = result.equation
             extras = {
                 "expected_chain": [f"{v:.12g}" for v in result.expected_chain],
                 "branch": result.branch,
                 "mode": "numeric (non-certificate)",
             }
+        # a coefficient past Python's 4300-digit int-to-str limit raises ValueError
+        payload = dict(_equation_json(equation), **extras)
     except (ValueError, ZeroDivisionError, SigmaKError) as exc:
         # SigmaKError: a constructor's range check on a parameter
         raise UsageError(f"bad preset parameters: {exc}") from exc
-    payload = dict(_equation_json(equation))
-    payload.update(extras)
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
     return 0
 
@@ -459,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     preset = sub.add_parser("preset", help="emit a named equation as canonical JSON")
     preset.add_argument("name")
     preset.add_argument("params", nargs="*")
-    preset.add_argument("--top", default="0")
-    preset.add_argument("--precision", type=int, default=15)
+    preset.add_argument("--top")
+    preset.add_argument("--precision", type=int)
     preset.set_defaults(func=_cmd_preset)
 
     return parser

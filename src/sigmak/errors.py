@@ -53,9 +53,5 @@ class PhaseOutOfRange(SigmaKError):
     """The phase angle lies in neither admissible branch."""
 
 
-class DegeneratePhase(SigmaKError):
-    """The phase makes the top coefficient of the phase equation vanish."""
-
-
 class PrecisionOutOfRange(SigmaKError):
     """A requested number of decimal digits is not a non-negative integer."""

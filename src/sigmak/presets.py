@@ -4,13 +4,15 @@ Includes the classical product equation, the pure-top-derivative equation,
 single-term Hessian-type equations, the non-negative-coefficient family
 (signed top term allowed), and the arctangent phase equation whose
 coefficients are trigonometric in the phase.  Every constructor is
-cross-checkable against the generic stability certifier.  mpmath is
-imported only by the phase equation, so the exact constructors load
-without it.
+cross-checkable against the generic stability certifier.  The phase
+equation's values are tangents of rational combinations of pi, each rounded
+once from exact enclosures whose precision doubles until the rounding is decided.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +20,6 @@ from typing import NamedTuple
 
 from .equations import SigmaKPolynomial
 from .errors import (
-    DegeneratePhase,
     DegreeOutOfRange,
     HypothesisViolated,
     NonPositiveConstant,
@@ -96,16 +97,9 @@ def parse_phase(text: str) -> tuple[Fraction, Fraction]:
     match = _PHASE_RE.match(text)
     if match is None:
         return Fraction(0), parse_rational(text)
-    mult_text = match.group("mult").strip()
-    if mult_text in ("", "+"):
-        mult = Fraction(1)
-    elif mult_text == "-":
-        mult = Fraction(-1)
-    else:
-        mult = parse_rational(mult_text)
-    off_text = match.group("off")
-    offset = parse_rational(off_text.replace(" ", "")) if off_text else Fraction(0)
-    return mult, offset
+    mult = match.group("mult").strip()
+    mult = parse_rational({"": "1", "+": "1", "-": "-1"}.get(mult, mult))
+    return mult, parse_rational((match.group("off") or "0").replace(" ", ""))
 
 
 @dataclass(frozen=True)
@@ -118,38 +112,77 @@ class DhymSpec:
     precision: int = 15
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign_bit, mantissa, exponent, _ = raw
-    value = Fraction(mantissa) * Fraction(2) ** exponent
-    return -value if sign_bit else value
+@functools.cache  # one entry per working precision that _decide tries
+def _pi(w: int) -> tuple[int, int]:
+    """``(P, e)`` with ``|P - 2**w pi| < e``, by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Fixed point as in Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 4: each
+    atan term floors once, and the alternating tail is below the first term that floors to 0.
+    """
+    total, e = 0, 0
+    for k, weight in ((5, 16), (239, -4)):
+        power, i = (1 << w) // k, 0
+        while power:
+            total += (-1) ** i * weight * (power // (2 * i + 1))
+            power, i = power // (k * k), i + 1
+        e += abs(weight) * (i + 1)
+    return total, e
 
 
-def _pi_bounds(dps: int) -> tuple[Fraction, Fraction]:
-    import mpmath
+def _line(a: Fraction, b: Fraction, w: int) -> tuple[int, int]:
+    """Integers ``lo < 2**w (a pi + b) < hi``, with ``lo + hi`` even."""
+    p, e = _pi(w)
+    x, e = round(a * p + b * (1 << w)), math.ceil(abs(a) * e) + 1
+    return x - e, x + e
 
-    old = mpmath.iv.dps
-    try:
-        mpmath.iv.dps = dps
-        lo_raw, hi_raw = mpmath.iv.pi._mpi_
-        return _raw_mpf_to_fraction(lo_raw), _raw_mpf_to_fraction(hi_raw)
-    finally:
-        mpmath.iv.dps = old
+
+def _tan_bounds(a: Fraction, b: Fraction, w: int):
+    """Rational bounds on ``tan(a pi + b)``, or None where ``2**-w`` does not resolve them.
+
+    Exact where the value is rational, only at ``b = 0`` with ``4a`` an integer (Niven);
+    no other value is a rounding tie.  Else ``y = a pi + b - m pi/2`` has ``|y| <= 1``,
+    so each Taylor term of sin y and cos y floors from one off by less than 2, as in ``_pi``.
+    """
+    if b == 0 and (4 * a).denominator == 1:
+        value = (0, 1, None, -1)[(4 * a).numerator % 4]  # None: a pole
+        return None if value is None else (Fraction(value),) * 2
+    m = round(Fraction(2 * _line(a, b, w)[0], _pi(w)[0]))  # about (a pi + b) / (pi/2)
+    lo, hi = _line(a - Fraction(m, 2), b, w)
+    if max(-lo, hi) > 1 << w:
+        return None
+    y, e, sums = (lo + hi) // 2, (hi - lo) // 2 + 2, []
+    for term, k in ((abs(y), 2), (1 << w, 1)):  # term i has k = 2i + 2 (sin), 2i + 1 (cos)
+        total = 0
+        while term:
+            total += (-1) ** ((k - 1) // 2) * term
+            term = (term * y * y >> 2 * w) // (k * (k + 1))
+            k, e = k + 2, e + 2
+        sums.append(total)
+    s, c = sign(y) * sums[0], sums[1]
+    s, c = (-c, s) if m % 2 else (s, c)  # tan(y + pi/2) = -cos(y) / sin(y)
+    if abs(c) <= e:
+        return None
+    corners = [Fraction(s + i, c + j) for i in (-e, e) for j in (-e, e)]
+    return min(corners), max(corners)
+
+
+def _decide(rounding, bounds, a: Fraction, b: Fraction):
+    """``rounding`` of what ``bounds(a, b, w)`` encloses, doubling ``w`` until both ends agree."""
+    for w in (64 << i for i in range(11)):  # up to 65536 bits, about 20000 digits
+        pair = bounds(a, b, w)
+        if pair and rounding(pair[0]) == rounding(pair[1]):
+            return rounding(pair[0])
+    raise PhaseOutOfRange("phase is numerically indistinguishable from a branch endpoint")
 
 
 def sign_of_pi_combination(a: Fraction, b: Fraction) -> int:
     """Exact sign of ``a*pi + b`` for rationals (zero only when both vanish)."""
-    if a == 0:
-        return sign(b)
-    dps = 40
-    while dps <= 20_000:
-        lo, hi = _pi_bounds(dps)
-        candidates = (a * lo + b, a * hi + b)
-        if min(candidates) > 0:
-            return 1
-        if max(candidates) < 0:
-            return -1
-        dps *= 2
-    raise PhaseOutOfRange("phase is numerically indistinguishable from a branch endpoint")
+    return sign(b) if a == 0 else _decide(sign, _line, a, b)
+
+
+def _double(value: Fraction) -> float:
+    """The double nearest ``value``: infinite from halfway past the largest double."""
+    return float(value) if abs(value) < 2**1024 - 2**970 else sign(value) * math.inf
 
 
 @dataclass(frozen=True)
@@ -174,35 +207,20 @@ def dhym(spec: DhymSpec) -> DhymResult:
     if not isinstance(digits, int) or isinstance(digits, bool) or digits < 0:
         raise PrecisionOutOfRange("precision must be a non-negative integer")
     q, r = Fraction(spec.pi_mult), Fraction(spec.offset)
-    in_branch = (
-        sign_of_pi_combination(q - Fraction(n - 2, 2), r) > 0
-        and sign_of_pi_combination(q - Fraction(n, 2), r) < 0
-    )
-    in_mirror = (
-        sign_of_pi_combination(q + Fraction(n, 2), r) > 0
-        and sign_of_pi_combination(q + Fraction(n - 2, 2), r) < 0
-    )
-    if in_branch:
-        branch = "supercritical"
-    elif in_mirror:
-        branch = "mirror"
+    for branch, side in (("supercritical", 1), ("mirror", -1)):
+        if (
+            sign_of_pi_combination(side * q - Fraction(n - 2, 2), side * r) > 0
+            and sign_of_pi_combination(side * q - Fraction(n, 2), side * r) < 0
+        ):
+            break
     else:
-        raise PhaseOutOfRange(
-            "phase must lie in ((n-2)pi/2, n pi/2) or (-n pi/2, -(n-2)pi/2)"
-        )
-    if r == 0 and (Fraction(n, 2) - q).denominator == 1:
-        raise DegeneratePhase("sin(n pi/2 - theta) vanishes at this phase")
-    import mpmath
-
-    scale = 10**digits
-    with mpmath.workdps(digits + 30):
-        theta = mpmath.pi * q.numerator / q.denominator + mpmath.mpf(r.numerator) / r.denominator
-        denom = mpmath.sin(n * mpmath.pi / 2 - theta)
-        coeffs = tuple(
-            Fraction(int(mpmath.nint(mpmath.sin(theta - k * mpmath.pi / 2) / denom * scale)), scale)
-            for k in range(n)
-        )
-        chain = tuple(
-            float(mpmath.tan((theta - k * mpmath.pi / 2) / (n - k))) for k in range(n)
-        )
+        raise PhaseOutOfRange("phase must lie in ((n-2)pi/2, n pi/2) or (-n pi/2, -(n-2)pi/2)")
+    # c_k = -sin(phi + (n - k) pi/2) / sin(phi) with phi = theta - n pi/2, so
+    # c_k = (-1, -u, 1, u)[(n - k) % 4] with u = cot(phi) = tan((n+1) pi/2 - theta)
+    unit = 10**digits
+    u = _decide(lambda v: Fraction(round(v * unit), unit), _tan_bounds, Fraction(n + 1, 2) - q, -r)
+    coeffs = tuple((Fraction(-1), -u, Fraction(1), u)[(n - k) % 4] for k in range(n))
+    chain = tuple(
+        _decide(_double, _tan_bounds, (q - Fraction(k, 2)) / (n - k), r / (n - k)) for k in range(n)
+    )
     return DhymResult(SigmaKPolynomial(n, coeffs), chain, branch)

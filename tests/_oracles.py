@@ -67,7 +67,7 @@ from sigmak.poly import (
     yun_decomposition,
 )
 from sigmak.poly import evaluate as poly_evaluate
-from sigmak.presets import _raw_mpf_to_fraction, hessian_type, j_equation, monge_ampere, nonneg_coeff
+from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
 from sigmak.rationals import sign
 from sigmak.realroots import (
     AlgebraicNumber,
@@ -623,6 +623,13 @@ def _sign_c0_plus_2_pow32(c0: Fraction, base: Fraction) -> int:
     if c0 >= 0:
         return 1 if (c0 > 0 or base > 0) else 0
     return sign(4 * base**3 - c0**2)
+
+
+def _raw_mpf_to_fraction(raw) -> Fraction:
+    """The exact value of an mpmath ``_mpf_`` tuple ``(sign, mantissa, exponent, bits)``."""
+    sign_bit, mantissa, exponent, _ = raw
+    value = Fraction(mantissa) * Fraction(2) ** exponent
+    return -value if sign_bit else value
 
 
 def _largest_cubic_root_bracket(c2: Fraction, c1: Fraction, dps: int):

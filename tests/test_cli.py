@@ -506,6 +506,43 @@ class TestPreset:
             assert err.startswith(f"error: preset {name} takes the parameters n ")
             assert err.endswith(f", got {len(wrong)}\n")
 
+    @pytest.mark.parametrize(
+        "name, params, option",
+        [
+            ("monge-ampere", "3 1", "--top"),
+            ("monge-ampere", "3 1", "--precision"),
+            ("j-equation", "4 2", "--precision"),
+            ("hessian", "4 1 3", "--top"),
+            ("nonneg", "4 1 2 3", "--precision"),
+            ("guan-zhang", "4 1 2 3", "--precision"),
+            ("dhym", "3 3/4pi", "--top"),
+        ],
+    )
+    def test_option_the_preset_does_not_take(self, capsys, name, params, option):
+        # --top belongs to nonneg and guan-zhang, --precision to dhym; neither is ignored
+        code, out, err = run(capsys, "preset", name, *params.split(), option, "0")
+        assert code == 2 and out == ""
+        assert err == f"error: preset {name} does not take {option}\n"
+
+    def test_dhym_coefficient_past_the_int_string_limit(self, capsys):
+        # theta = 3pi/2 - (Q pi - P) / 10^4000, P/Q a continued-fraction convergent of
+        # pi with about 3990 digits: |c_0| is about 10^7990, past Python's 4300-digit
+        # limit on printing an int, and the preset exits 2 instead of a traceback
+        import mpmath
+
+        with mpmath.workdps(8200):
+            pi_scaled = int(mpmath.pi * 10**8200)
+        num, den = pi_scaled, 10**8200
+        (p0, p1), (q0, q1) = (0, 1), (1, 0)
+        while q1 < 10**3990 or p1 * 10**8200 > pi_scaled * q1:  # until P/Q is below pi
+            a, (num, den) = num // den, (den, num % den)
+            (p0, p1), (q0, q1) = (p1, a * p1 + p0), (q1, a * q1 + q0)
+        mult = str(F(3, 2) * 10**4000 - q1)
+        phase = f"{mult[:-4000]}.{mult[-4000:]}pi+0.{str(p1).rjust(4000, '0')}"
+        code, out, err = run(capsys, "preset", "dhym", "3", phase)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: bad preset parameters: Exceeds the limit")
+
     def test_pipe_closure(self, tmp_path, capsys):
         presets = [
             ("monge-ampere", ["3", "1"]),
@@ -556,14 +593,14 @@ class TestLazyImports:
         ],
     )
     def test_commands_that_import_late(self, tmp_path, argv):
-        """Every command runs in a process where ``import numpy`` fails."""
+        """Every command runs in a process where ``import numpy`` and ``import mpmath`` fail."""
         paths = {
             "ex11": write_json(tmp_path / "ex11.json", EX11),
             "ex12": write_json(tmp_path / "ex12.json", EX12),
         }
         probe = (
             "import runpy, sys\n"
-            "sys.modules['numpy'] = None\n"
+            "sys.modules['numpy'] = sys.modules['mpmath'] = None\n"
             "runpy.run_module('sigmak', run_name='__main__')\n"
         )
         proc = run_fresh("-c", probe, *(arg.format(**paths) for arg in argv))

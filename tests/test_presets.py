@@ -12,7 +12,6 @@ from sigmak.equations import (
     evaluate,
 )
 from sigmak.errors import (
-    DegeneratePhase,
     DegreeOutOfRange,
     HypothesisViolated,
     NonPositiveConstant,
@@ -31,7 +30,7 @@ from sigmak.presets import (
 )
 from sigmak.realroots import approx, from_rational, compare, Order
 
-from _oracles import TopCoefficientNotZero, certify_left, closed_form_criterion
+from _oracles import TopCoefficientNotZero, _raw_mpf_to_fraction, certify_left, closed_form_criterion
 from _paper import translate
 
 
@@ -129,6 +128,9 @@ class TestPhaseParsing:
         # pi/7 = 0.44879...; both sides of that value resolve correctly
         assert sign_of_pi_combination(F(1, 7), F(-44, 100)) == 1
         assert sign_of_pi_combination(F(1, 7), F(-45, 100)) == -1
+        # the convergents 355/113 and 103993/33102 of pi lie on either side of it
+        assert sign_of_pi_combination(F(113), F(-355)) == -1
+        assert sign_of_pi_combination(F(33102), F(-103993)) == 1
 
 
 class TestDhym:
@@ -188,7 +190,8 @@ class TestDhym:
             dhym(DhymSpec(3, F(1, 2)))  # exactly on the open lower endpoint
 
     def test_degenerate_phase(self):
-        with pytest.raises((DegeneratePhase, PhaseOutOfRange)):
+        # sin(n pi/2 - theta) vanishes only at phases outside both branches
+        with pytest.raises(PhaseOutOfRange):
             dhym(DhymSpec(2, F(0)))
 
     def test_precision_validated(self):
@@ -196,6 +199,70 @@ class TestDhym:
             with pytest.raises(PrecisionOutOfRange):
                 dhym(DhymSpec(3, F(3, 4), precision=bad))
         assert dhym(DhymSpec(3, F(3, 4), precision=0)).equation.c == (F(1), F(1), F(-1))
+
+
+def _mpmath_reference(n, q, r, digits):
+    """Coefficients and chain of the phase equation from mpmath's sin and tan.
+
+    Shares no code with the enclosures of ``sigmak.presets``.  Each angle is
+    formed in mpmath with 40 guard digits plus twice the offset's digits,
+    which covers the cancellation next to a branch end; each coefficient is
+    rounded half to even and each chain value to the nearest double.
+    """
+    import mpmath
+
+    unit = 10**digits
+    with mpmath.workdps(digits + 40 + 2 * len(str(r.denominator))):
+
+        def angle(a, b):  # a pi + b
+            return mpmath.pi * a.numerator / a.denominator + mpmath.mpf(b.numerator) / b.denominator
+
+        denominator = mpmath.sin(angle(F(n, 2) - q, -r))
+        coeffs = tuple(
+            F(int(mpmath.nint(mpmath.sin(angle(q - F(k, 2), r)) / denominator * unit)), unit)
+            for k in range(n)
+        )
+        chain = tuple(
+            float(_raw_mpf_to_fraction(mpmath.tan(angle((q - F(k, 2)) / (n - k), r / (n - k)))._mpf_))
+            for k in range(n)
+        )
+    return coeffs, chain
+
+
+class TestDhymReference:
+    """The phase equation against mpmath, which the test extra installs."""
+
+    def test_seeded_phases(self):
+        rng = random.Random(67)
+        for n in range(1, 13):
+            for side in (1, -1):
+                # offsets below pi/200, so the phase stays inside the branch
+                for offset in (F(0), F(rng.randint(-10**6, 10**6), 10 ** rng.randint(9, 36))):
+                    q = side * (F(n - 2, 2) + F(rng.randint(1, 199), 200))
+                    for digits in (0, 6, 15, 40, 100):
+                        result = dhym(DhymSpec(n, q, side * offset, digits))
+                        want = _mpmath_reference(n, q, side * offset, digits)
+                        assert (result.equation.c, result.expected_chain) == want, (n, q, digits)
+                        assert result.branch == ("mirror" if side < 0 < n - 1 else "supercritical")
+
+    @pytest.mark.parametrize("e", [20, 40, 49])
+    @pytest.mark.parametrize("digits", [15, 40])
+    def test_offset_below_three_halves_pi(self, e, digits):
+        # at theta = 3pi/2 - eps, c_1 = 1 exactly and c_0 = -cot(eps), about -10^e:
+        # the phase must be resolved to about 2e + digits digits
+        import mpmath
+
+        result = dhym(DhymSpec(3, F(3, 2), -F(1, 10**e), digits))
+        with mpmath.workdps(2 * e + digits + 40):
+            c0 = mpmath.nint(-mpmath.cot(mpmath.mpf(1) / 10**e) * 10**digits)
+        assert result.equation.c[1] == 1
+        assert result.equation.c[0] == F(int(c0), 10**digits)
+        assert result.equation.c == _mpmath_reference(3, F(3, 2), -F(1, 10**e), digits)[0]
+
+    def test_offset_past_the_precision_cap(self):
+        # the coefficients are about 10^30000: no enclosure up to 20000 digits resolves them
+        with pytest.raises(PhaseOutOfRange):
+            dhym(DhymSpec(3, F(3, 2), -F(1, 10**30000)))
 
 
 class TestClosedForm:
