@@ -83,8 +83,10 @@ def hessian_type(n: int, k: int, ck) -> SigmaKPolynomial:
 
 # -- phase equation -----------------------------------------------------------
 
+# a literal ``parse_rational`` reads: digits, "_", ".", "/" and a decimal exponent
+_LITERAL = r"[0-9_./]*(?:e[+-]?[0-9_]+)?"
 _PHASE_RE = re.compile(
-    r"^\s*(?P<mult>[+-]?[0-9./]*)\s*pi\s*(?P<off>[+-]\s*[0-9./]+)?\s*$", re.IGNORECASE
+    rf"^\s*(?P<mult>[+-]?{_LITERAL})\s*pi\s*(?P<off>[+-]\s*{_LITERAL})?\s*$", re.IGNORECASE
 )
 
 
@@ -92,7 +94,7 @@ def parse_phase(text: str) -> tuple[Fraction, Fraction]:
     """Parse a phase given as a rational multiple of pi plus an optional offset.
 
     Accepted forms: ``"3/4pi"``, ``"-1/2pi"``, ``"pi"``, ``"0.75pi+1/10"``,
-    or a plain rational meaning a zero pi-multiple.
+    ``"3/2pi-1e-49"``, or a plain rational meaning a zero pi-multiple.
     """
     match = _PHASE_RE.match(text)
     if match is None:

@@ -2,23 +2,26 @@
 
 A real algebraic number is a defining polynomial together with a rational
 isolating interval containing exactly one of its roots, a simple one.
-Every query below is decided exactly.  One loop, ``_narrowing``, bisects a
+Every query below is decided exactly.  One loop, ``_narrowing``, narrows a
 number's interval; ``refine``, ``sign_at``, ``compare`` and the chain
-certifier iterate it.  The decision paths (``compare`` and the chain
-certifier) settle a tie with one zero test, ``_shares_root``; a rational is
-compared by one evaluation.  ``isolate_real_roots`` and ``sign_at`` are the
-Sturm-based general API and the tests' independent reference.
+certifier iterate it; after a few bisections its steps are Abbott's (2006),
+which gain twice the bits of the step before.  The decision paths settle a
+tie with one zero test, ``_shares_root``; a rational is compared by one
+evaluation.  ``isolate_real_roots`` and ``sign_at`` are the Sturm-based
+general API and the tests' independent reference.
 
 ``bracket`` is the only way a root becomes a rational: the decimal grid
 points next to it, which depend on the number alone and never on how far
-isolation or bisection happened to go.  ``approx``, report intervals and the
-seeded base points of sampling and deformation windows are all taken from it.  Its probes
-are integer Horner values, positive multiples of the defining polynomial's.
+isolation or narrowing happened to go.  ``approx``, report intervals and the
+seeded base points of sampling and deformation windows are all taken from it.
+It narrows by the same steps, and its probes are integer Horner values.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +39,10 @@ from .poly import (
     yun_decomposition,
 )
 from .rationals import sign
+
+# Bisections before the quadratic steps: the chain certifier settles a sign
+# within 4 steps, so only long narrowings, close roots and deep brackets go quadratic.
+_PLAIN_BISECTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -130,29 +137,69 @@ def _shares_root(p: Poly, defining: Poly, lo: Fraction, hi: Fraction) -> bool:
     return sign(evaluate(g, lo)) != sign(evaluate(g, hi))
 
 
-def _bisect_once(q: Poly, lo: Fraction, hi: Fraction, sign_lo: int):
-    """One sign-bisection step for a simple root bracketed by opposite signs."""
-    mid = (lo + hi) / 2
-    s = sign(evaluate(q, mid))
-    if s == 0:
-        return mid, mid, sign_lo
-    if s == sign_lo:
-        return mid, hi, sign_lo
-    return lo, mid, sign_lo
+def _step(value, cut, n, lo, hi, v_lo, v_hi, s_lo):
+    """One step on ``[lo, hi]``: ``(lo, hi, v_lo, v_hi, cells)`` after it, a point at a zero.
+
+    ``value`` changes sign once in ``(lo, hi)``, from ``s_lo``; ``cut(lo, hi,
+    i, n)`` ends the i-th of ``n`` equal cells.  ``n = 2`` bisects.  Else the
+    cell end nearest the secant's zero and its neighbour on the change's side
+    are probed; their cell is kept when their signs differ (``cells = n**2``),
+    else what is left is bisected (``cells = sqrt(n)``) unless it is one grid
+    cell.  Only an end without a value is evaluated at ``lo`` or ``hi``; every
+    probe whose sign is read lies strictly between, on a grid when ``n`` is at
+    most its number of cells.
+    """
+    i = 1
+    if n > 2:
+        v_lo = value(lo) if v_lo is None else v_lo
+        v_hi = value(hi) if v_hi is None else v_hi
+        # integer multiples of the end values; they only steer the guess, even when equal
+        a, b = v_lo.numerator * v_hi.denominator, v_hi.numerator * v_lo.denominator
+        i = min(max((2 * n * a + a - b) // (2 * (a - b) or 1), 1), n - 1)
+    x = cut(lo, hi, i, n)
+    v = value(x)
+    if v == 0:
+        return x, x, v, v, n
+    j = i + 1 if sign(v) == s_lo else i - 1
+    y = cut(lo, hi, j, n) if 0 < j < n else None
+    lo, hi, v_lo, v_hi = (x, hi, v, v_hi) if j > i else (lo, x, v_lo, v)
+    if y is None:
+        return lo, hi, v_lo, v_hi, n * n
+    w = value(y)
+    if w == 0:
+        return y, y, w, w, n
+    accepted = sign(w) != sign(v)
+    lo, hi, v_lo, v_hi = (lo, y, v_lo, w) if (j > i) == accepted else (y, hi, w, v_hi)
+    if accepted:
+        return lo, hi, v_lo, v_hi, n * n
+    if cut(lo, hi, 1, 2) != lo:
+        lo, hi, v_lo, v_hi, _ = _step(value, cut, 2, lo, hi, v_lo, v_hi, s_lo)
+    return lo, hi, v_lo, v_hi, max(4, math.isqrt(n))
+
+
+def _cut(lo: Fraction, hi: Fraction, i: int, n: int) -> Fraction:
+    return (lo + hi) / 2 if n == 2 else lo + (hi - lo) * i / n
+
+
+def _grid_cut(lo: int, hi: int, i: int, n: int) -> int:
+    return lo + (hi - lo) * i // n
 
 
 def _narrowing(alpha: AlgebraicNumber):
-    """``(lo, hi, sign_lo)`` for ``alpha``'s interval, then for each bisection of it.
+    """``(lo, hi, sign_lo)`` for ``alpha``'s interval, then after each ``_step`` on it.
 
-    ``sign_lo`` is the sign of ``defining`` at ``lo`` until a bisection
-    lands on the root; that point is then yielded forever.
+    ``sign_lo`` is the sign of ``defining`` at ``lo``, 0 once a step lands on
+    the root.  After ``_PLAIN_BISECTIONS`` bisections the steps are Abbott's,
+    so each at least halves the width and the bits they gain double.
     """
     q, lo, hi = alpha.defining, alpha.interval.lo, alpha.interval.hi
-    s_lo = alpha._sign_lo if lo != hi else 0
-    while True:
-        yield lo, hi, s_lo
+    s_lo, value = alpha._sign_lo if lo != hi else 0, functools.partial(evaluate, q)
+    v_lo, v_hi, cells = None, None, 4
+    for step in itertools.count():
+        yield lo, hi, s_lo if lo != hi else 0
         if lo != hi:
-            lo, hi, s_lo = _bisect_once(q, lo, hi, s_lo)
+            n = 2 if step < _PLAIN_BISECTIONS else cells
+            lo, hi, v_lo, v_hi, cells = _step(value, _cut, n, lo, hi, v_lo, v_hi, s_lo)
 
 
 def _root_with_sign(
@@ -171,7 +218,7 @@ def _root_with_sign(
 
 
 def refine(alpha: AlgebraicNumber, eps) -> AlgebraicNumber:
-    """Same root, interval width <= eps.  Each step at least halves the width."""
+    """Same root, interval width <= eps, by ``_narrowing``'s halving and quadratic steps."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -299,10 +346,11 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
 def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
     """``(floor(alpha * 10**digits), ceil(alpha * 10**digits)) / 10**digits``.
 
-    The two ends are equal exactly when ``alpha`` is that decimal.  The
-    result depends on the number alone, not on its isolating interval:
-    bisection cuts only at grid points inside the interval, and a grid point
-    where the defining polynomial vanishes is the number itself.
+    The ends are equal exactly when ``alpha`` is that decimal.  ``_step``
+    narrows on the grid, quadratically after a few bisections; every sign it
+    reads is at a grid point inside the interval, so the result depends on
+    the number alone, and a grid point where the defining polynomial
+    vanishes is it.
 
     With ``m * q = sum a_i x^i`` integral, ``m > 0``, each probe is the integer
     ``sum a_i 10**(digits * (deg - i)) k^i = 10**(digits * deg) * m * q(k / 10**digits)``.
@@ -313,23 +361,23 @@ def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
     if alpha.is_rational:
         value = alpha.rational_value * scale
         return Fraction(math.floor(value), scale), Fraction(math.ceil(value), scale)
-    # the root lies strictly inside the interval; grid points a..b lie there too
-    a = math.floor(alpha.interval.lo * scale) + 1
-    b = math.ceil(alpha.interval.hi * scale) - 1
     scaled = [c * scale**i for i, c in enumerate(reversed(_primitive_ints(alpha.defining)))]
-    while a <= b:
-        k = (a + b) // 2
+
+    def probe(k):
         acc = 0
         for c in scaled:
             acc = acc * k + c
-        s = sign(acc)
-        if s == 0:
-            return Fraction(k, scale), Fraction(k, scale)
-        if s == alpha._sign_lo:
-            a = k + 1
-        else:
-            b = k - 1
-    return Fraction(b, scale), Fraction(a, scale)
+        return acc
+
+    # grid indices with the root strictly between; an end that lies outside
+    # the interval is never probed by a step, its value only steers the secant
+    lo, hi = math.floor(alpha.interval.lo * scale), math.ceil(alpha.interval.hi * scale)
+    v_lo, v_hi, cells = None, None, 4
+    for step in itertools.count():
+        if hi - lo <= 1:
+            return Fraction(lo, scale), Fraction(hi, scale)
+        n = 2 if step < _PLAIN_BISECTIONS else min(cells, hi - lo)
+        lo, hi, v_lo, v_hi, cells = _step(probe, _grid_cut, n, lo, hi, v_lo, v_hi, alpha._sign_lo)
 
 
 def approx(alpha: AlgebraicNumber, digits: int) -> str:

@@ -33,7 +33,7 @@ is a positive constant).  So ``p^(k)(hi) - p^(k)(x_{k+1})`` is at most
 ``p^(k)(x_{k+1})``.  It uses no value of ``p^(k)`` below ``x_{k+1}``, and
 its slack shrinks with the width of ``[lo, hi]``.
 
-Bisection of ``[lo, hi]`` decides every level with ``s != 0``; only a tie
+Narrowing ``[lo, hi]`` decides every level with ``s != 0``; only a tie
 ``s = 0`` needs the exact zero test: the gcd with the defining polynomial
 of ``x_{k+1}`` changes sign on ``[lo, hi]``.  So no level isolates the
 roots of ``p^(k)``.
@@ -43,7 +43,7 @@ built once as primitive integer coefficient lists, each a positive multiple
 of ``p^(k)``, and a sign at ``x = N/D`` is the sign of the integer
 ``D^d * Q(N/D)``.  The tangent bound is multiplied through by its positive
 denominators the same way; only the narrowing of ``x_{k+1}``'s interval
-still bisects in ``Fraction``.  Every root keeps the lower-end sign the
+still runs in ``Fraction``.  Every root keeps the lower-end sign the
 certifier proved, through ``realroots._root_with_sign``: -1 for the root
 found above ``x_{k+1}``, defined by the ladder entry of ``p^(k)``, and the
 narrowing's own for a narrowed interval and a tie's repeated root.
@@ -77,12 +77,12 @@ from .realroots import (
     from_rational,
 )
 
-# Bisection steps a level takes before its exact zero test.  Every level with
-# a nonzero sign settles by bisection alone and a tie never does, so the gcd
-# is only worth its cost once bisection has stalled.  On seeded degree-12 to
+# Narrowing steps a level takes before its exact zero test.  Every level with
+# a nonzero sign settles by narrowing alone and a tie never does, so the gcd
+# is only worth its cost once narrowing has stalled.  On seeded degree-12 to
 # 32 equations a negative sign settled within 3 steps and a positive one,
-# proved by the tangent bound, within 4; on 3000 random integer polynomials
-# of degree 2 to 10 both settled within 7.
+# proved by the tangent bound, within 4, the plain bisections of ``_narrowing``;
+# on 3000 random integer polynomials of degree 2 to 10 both settled within 7.
 _STEPS_BEFORE_ZERO_TEST = 8
 
 

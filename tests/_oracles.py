@@ -11,11 +11,11 @@ every coordinate subset it checks, where ``sigmak.equations`` shares the
 symmetric functions across levels and subsets.  The rounding and
 remainder oracles (``bracket_by_fractions``, ``remainder_sequence_by_division``,
 ``gcd_by_division``) bisect and divide in ``Fraction`` arithmetic, where
-``sigmak`` works on integer forms.  The closed-form oracle
-``closed_form_criterion`` decides degrees 2 to 4 by the paper's explicit
-inequalities, with an mpmath bracket of the depressed cubic's largest root
-certified against the cubic, and shares no chain code with
-``sigmak.rootchain``.  ``certify_left`` (the right chain of ``p(-x)``),
+``sigmak`` works on integer forms and narrows by quadratic steps.  The
+closed-form oracle ``closed_form_criterion`` decides degrees 2 to 4 by the
+paper's explicit inequalities, with an mpmath bracket of the depressed
+cubic's largest root certified against the cubic, and shares no chain code
+with ``sigmak.rootchain``.  ``certify_left`` (the right chain of ``p(-x)``),
 ``is_real_rooted``, ``multiplicity_at_largest_root`` and
 ``count_real_roots_with_multiplicity`` wrap the Sturm API and the right
 chain for the tests that need them, and ``mirror``, ``negate`` and
@@ -72,7 +72,6 @@ from sigmak.rationals import sign
 from sigmak.realroots import (
     AlgebraicNumber,
     IsolatingInterval,
-    _bisect_once,
     _shares_root,
     from_rational,
     isolate_real_roots,
@@ -714,7 +713,9 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
                 vlo, vhi = taylor_shift(boundary, lo + rad).eval_interval(-rad, rad)
                 if vlo > 0 or vhi < 0:
                     return _verdict_from_sign(1 if vlo > 0 else -1)
-                lo, hi, _ = _bisect_once(cubic, lo, hi, -1)
+                mid = (lo + hi) / 2
+                s = sign(cubic(mid))
+                lo, hi = (mid, mid) if s == 0 else (mid, hi) if s < 0 else (lo, mid)
             return _verdict_from_sign(sign(boundary(lo)))
         dps *= 2
     raise RootBracketNotCertified("could not certify a bracket of the cubic's largest root")

@@ -524,6 +524,26 @@ class TestPreset:
         assert code == 2 and out == ""
         assert err == f"error: preset {name} does not take {option}\n"
 
+    def test_dhym_phase_with_an_exponent(self, capsys):
+        # the phase 10^-49 below the branch end 3pi/2 that CI pipes as a decimal
+        code, decimal, _ = run(capsys, "preset", "dhym", "3", "3/2pi-0." + "0" * 48 + "1")
+        assert code == 0
+        for phase in ("3/2pi-1e-49", "3/2pi - 1E-49"):
+            code, out, err = run(capsys, "preset", "dhym", "3", phase)
+            assert (code, out, err) == (0, decimal, "")
+
+    def test_dhym_multiple_with_an_exponent(self, capsys):
+        code, fraction, _ = run(capsys, "preset", "dhym", "3", "6/5pi")
+        assert code == 0
+        assert run(capsys, "preset", "dhym", "3", "12e-1pi") == (0, fraction, "")
+
+    @pytest.mark.parametrize("phase", ["3/2pi-1e", "3/2pi-1e-5000", "1e5000pi"])
+    def test_dhym_bad_exponent(self, capsys, phase):
+        # an exponent without digits, or beyond parse_rational's bound, is a usage error
+        code, out, err = run(capsys, "preset", "dhym", "3", phase)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_dhym_coefficient_past_the_int_string_limit(self, capsys):
         # theta = 3pi/2 - (Q pi - P) / 10^4000, P/Q a continued-fraction convergent of
         # pi with about 3990 digits: |c_0| is about 10^7990, past Python's 4300-digit

@@ -32,7 +32,14 @@ from sigmak.realroots import (
 from sigmak.rationals import sign
 from sigmak.rootchain import _root_above as _root_above_ints
 
-from _oracles import closed_form_criterion, distinct_real_roots, largest_real_root, resultant
+from _oracles import (
+    bracket_by_fractions,
+    closed_form_criterion,
+    corpus_equations,
+    distinct_real_roots,
+    largest_real_root,
+    resultant,
+)
 
 FIG1_QUINTIC = Poly([20, -45, 640, -190, 0, 1])
 EX21_QUINTIC = Poly([24, 10, -650, -190, 0, 1])
@@ -193,6 +200,79 @@ class TestRefine:
                 twice = refine(once, F(1, 10**5))
                 assert once.interval.lo <= twice.interval.lo
                 assert twice.interval.hi <= once.interval.hi
+
+
+def corpus_roots(seed, degrees):
+    """The irrational chain roots of the seeded corpus, as the certifier left them."""
+    chains = [certify_stable(f).certificate.chain for f in corpus_equations(seed, degrees)]
+    return [a for chain in chains for a in chain if a is not None and not a.is_rational]
+
+
+def close_pair_roots():
+    """The two roots 2^-1200 apart of ``test_close_roots_separate``, as isolation left them."""
+    return isolate_real_roots(from_roots([1, 1 + F(1, 2**1200)]))
+
+
+class TestQuadraticNarrowing:
+    """``_narrowing`` keeps a proved root in every interval and goes quadratic on long runs."""
+
+    @staticmethod
+    def assert_narrows(alpha, bits):
+        """Each yield until ``bits`` bits down holds the root, at half the last width or less."""
+        q, start = alpha.defining, alpha.interval
+        width = None
+        for lo, hi, s_lo in realroots._narrowing(alpha):
+            assert start.lo <= lo <= hi <= start.hi
+            if lo == hi:
+                assert evaluate(q, lo) == 0 and s_lo == 0
+                return
+            # opposite signs inside the isolating interval: the root is in there
+            assert sign(evaluate(q, lo)) == s_lo == -sign(evaluate(q, hi)) != 0
+            if width is not None:
+                assert 2 * (hi - lo) <= width
+            width = hi - lo
+            if width * 2**bits <= start.width:
+                return
+
+    def test_keeps_the_root_and_grows_the_cells(self, monkeypatch):
+        cells = []
+        step = realroots._step
+
+        def recorded(value, cut, n, *interval):
+            cells.append(n)
+            return step(value, cut, n, *interval)
+
+        monkeypatch.setattr(realroots, "_step", recorded)
+        for alpha in corpus_roots(13, (5, 8, 12)) + close_pair_roots():
+            self.assert_narrows(alpha, 200)
+        assert max(cells) > 4
+
+    def test_close_pair_narrows_in_few_steps(self):
+        # 300 bits below the isolating width take 300 bisections; the
+        # quadratic steps double the bits they gain
+        for alpha in close_pair_roots():
+            steps = 0
+            for steps, (lo, hi, _) in enumerate(realroots._narrowing(alpha)):
+                if lo == hi or (hi - lo) * 2**300 <= alpha.interval.width:
+                    break
+            assert steps < 30
+
+    def test_bracket_equals_plain_bisection(self):
+        for alpha in corpus_roots(14, (5, 8, 12, 16, 24)):
+            for digits in (3, 6, 11, 103):
+                assert bracket(alpha, digits) == bracket_by_fractions(alpha, digits)
+
+    @pytest.mark.parametrize("digits", [0, 3])
+    def test_bracket_reads_no_sign_outside_the_interval(self, digits):
+        # the root near 0.7236 of (x^2 - x + 1/5)((x - 3)^2 + 1/100), scaled by
+        # 10^-digits, on a wide interval: the secant through the value at the
+        # grid point 0, left of the interval, picks a cell whose neighbour
+        # probe fails and leaves the one grid cell [0, 1], which has no inside
+        # point to bisect at; the sign at 0 is not the interval's sign at lo
+        t = F(1, 10**digits)
+        q = Poly([F(1, 5) * t**2, -t, 1]) * Poly([(9 + F(1, 100)) * t**2, -6 * t, 1])
+        alpha = AlgebraicNumber(q, IsolatingInterval(t / 2, 48 * t))
+        assert bracket(alpha, digits) == bracket_by_fractions(alpha, digits) == (0, t)
 
 
 class TestSignAt:

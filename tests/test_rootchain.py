@@ -22,6 +22,7 @@ from _oracles import (
     NoRealRoot,
     certify_left,
     certify_right_by_isolation,
+    closed_form_criterion,
     corpus_equations,
     float_chain_verdict,
     is_real_rooted,
@@ -347,14 +348,24 @@ class TestAgainstIsolation:
         assert cert.chain[0].is_rational and cert.chain[0].rational_value == 1
 
     def test_close_root_pair(self):
-        # the reference isolates all roots of p, two of them 2^-1030 apart; the
-        # pair sits at the bottom, since mirrored at the top the reference's
-        # sign_at on x_1 between them takes seconds
+        # the reference isolates all roots of p, two of them 2^-1030 apart; at
+        # the top x_1 lies between them, and the reference's sign_at narrows
+        # it quadratically to a width where p' has one sign
         eps = F(1, 2**1030)
-        p = from_roots([-1 - eps, -1, F(3, 7)])
+        for roots in ([-1 - eps, -1, F(3, 7)], [1, 1 + eps, F(-3, 7)]):
+            p = from_roots(roots)
+            right = certify_right(p)
+            assert_same_certificate(right, certify_right_by_isolation(p))
+            assert_isolates_simple_roots(right)
+
+    def test_close_root_quartic(self):
+        # c1 = -2 + 10^-2400 splits the double root 1 of p'' into roots about
+        # 10^-1200 apart; the chain descends through both
+        f = SigmaKPolynomial(4, (F(3), F(-2) + F(1, 10**2400), F(1), F(0)))
+        p = diagonal_restriction(f)
         right = certify_right(p)
         assert_same_certificate(right, certify_right_by_isolation(p))
-        assert_isolates_simple_roots(right)
+        assert certify_stable(f).verdict is closed_form_criterion(f)
 
     def test_failure_level_not_squarefree(self):
         # missing_root counts the roots of p^(k) from its own remainder sequence,
