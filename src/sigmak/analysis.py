@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .equations import (
     SigmaKPolynomial,
@@ -37,8 +36,7 @@ class Regime(enum.Enum):
     CRITICAL_ZERO_BY_DEFINITION = "critical-zero-by-definition"
 
 
-@dataclass(frozen=True)
-class AlphaSample:
+class AlphaSample(NamedTuple):
     """Ratio value at one point; ``alpha`` is None when the two-sided limit disagrees."""
 
     x: object
@@ -111,8 +109,7 @@ def _grid(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(i, max(count - 1, 1)) for i in range(count)]
 
 
-@dataclass(frozen=True)
-class DeformationState:
+class DeformationState(NamedTuple):
     """Taylor tail of the certified polynomial at ``y``: the top root moved to ``y``."""
 
     y: Fraction
@@ -182,8 +179,7 @@ def _default_grid(cert: ChainCertificate) -> list[Fraction]:
     return [low + step * i for i in range(1, DEFORM_CURVES + 1)]
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     curves: int
     comparisons: int
     min_margin: object
@@ -224,8 +220,7 @@ def deformation_family(
     return rows, DescentReport(len(ys), len(margins), low, ok)
 
 
-@dataclass(frozen=True)
-class MidpointReport:
+class MidpointReport(NamedTuple):
     pairs: int
     failures: int
     failure_examples: tuple

@@ -34,10 +34,9 @@ import math
 import numbers
 import random
 from itertools import combinations
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -53,21 +52,39 @@ from .rootchain import ChainCertificate, ChainVerdict, certify_right
 FLOAT_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
 class SigmaKPolynomial:
-    """Degree n and coefficients c_0..c_{n-1} of a general inverse sigma_k equation."""
+    """Degree n and coefficients c_0..c_{n-1} of a general inverse sigma_k equation.
 
-    n: int
-    c: tuple[Fraction, ...]
+    Immutable, equal and hashed by value: ``certify_stable`` caches on it.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "c")
+
+    def __init__(self, n: int, c: Sequence):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise DimensionMismatch(f"degree must be an int, got {n!r:.40}")
+        if n < 1:
             raise DimensionMismatch("degree must be >= 1")
-        object.__setattr__(self, "c", tuple(Fraction(v) for v in self.c))
-        if len(self.c) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} coefficients, got {len(self.c)}"
-            )
+        c = tuple(Fraction(v) for v in c)
+        if len(c) != n:
+            raise DimensionMismatch(f"expected {n} coefficients, got {len(c)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SigmaKPolynomial is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, SigmaKPolynomial) and (self.n, self.c) == (other.n, other.c)
+
+    def __hash__(self):
+        return hash((self.n, self.c))
+
+    def __repr__(self):
+        return f"SigmaKPolynomial{(self.n, self.c)!r}"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return SigmaKPolynomial, (self.n, self.c)
 
 
 def _empty_sigmas(size: int) -> list:
@@ -118,8 +135,7 @@ class StabilityVerdict(enum.Enum):
     NOT_STABLE = "not-stable"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     verdict: StabilityVerdict
     certificate: ChainCertificate
 
@@ -148,8 +164,7 @@ def certify_stable(f: SigmaKPolynomial) -> StabilityReport:
     return StabilityReport(_VERDICT_FROM_CHAIN[cert.verdict], cert)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Outcome of the nested cone membership check.
 
     ``member_level`` is the deepest level containing the point (0 denotes
@@ -313,8 +328,7 @@ def _scan_levels(
     )
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     dominates: bool
     comparisons: tuple[Order, ...]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -104,14 +103,32 @@ def parse_phase(text: str) -> tuple[Fraction, Fraction]:
     return mult, parse_rational((match.group("off") or "0").replace(" ", ""))
 
 
-@dataclass(frozen=True)
 class DhymSpec:
-    """Phase equation parameters: degree, phase ``pi_mult*pi + offset``, digits."""
+    """Phase equation parameters: degree, phase ``pi_mult*pi + offset``, digits.
 
-    n: int
-    pi_mult: Fraction
-    offset: Fraction = Fraction(0)
-    precision: int = 15
+    The defaults are class attributes: ``DhymSpec.precision`` is the default precision.
+    """
+
+    offset = Fraction(0)
+    precision = 15
+
+    def __init__(self, n: int, pi_mult: Fraction, offset=offset, precision=precision):
+        vars(self).update(n=n, pi_mult=pi_mult, offset=offset, precision=precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DhymSpec is immutable")
+
+    def _fields(self) -> tuple:
+        return self.n, self.pi_mult, self.offset, self.precision
+
+    def __eq__(self, other):
+        return isinstance(other, DhymSpec) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"DhymSpec{self._fields()!r}"
 
 
 @functools.cache  # one entry per working precision that _decide tries
@@ -187,8 +204,7 @@ def _double(value: Fraction) -> float:
     return float(value) if abs(value) < 2**1024 - 2**970 else sign(value) * math.inf
 
 
-@dataclass(frozen=True)
-class DhymResult:
+class DhymResult(NamedTuple):
     equation: SigmaKPolynomial
     expected_chain: tuple[float, ...]
     branch: str

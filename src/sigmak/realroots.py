@@ -23,7 +23,6 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,16 +44,31 @@ from .rationals import sign
 _PLAIN_BISECTIONS = 4
 
 
-@dataclass(frozen=True)
 class IsolatingInterval:
     """Closed rational interval holding exactly one root of the owner's defining polynomial."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IsolatingInterval is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, IsolatingInterval) and (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"IsolatingInterval{(self.lo, self.hi)!r}"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return IsolatingInterval, (self.lo, self.hi)
 
     @property
     def width(self) -> Fraction:
@@ -77,7 +91,6 @@ class Order(enum.Enum):
     GREATER = 1
 
 
-@dataclass(frozen=True)
 class AlgebraicNumber:
     """One real root of a polynomial, pinned by an isolating interval.
 
@@ -87,14 +100,31 @@ class AlgebraicNumber:
     ``multiplicity_in_source`` records the multiplicity the root had in the
     polynomial it was isolated from.
 
-    The sign of ``defining`` at ``interval.lo`` is evaluated on first use;
-    only ``_root_with_sign`` stores one already proved.  It is no field, so
-    ``dataclasses.replace`` cannot carry it to another ``defining``.
+    The sign of ``defining`` at ``interval.lo`` is evaluated on first use and
+    kept in the instance ``__dict__``; only ``_root_with_sign`` stores one
+    already proved.  It is none of the three fields that the constructor,
+    equality and hashing take, so no new number inherits it.
     """
 
-    defining: Poly
-    interval: IsolatingInterval
-    multiplicity_in_source: int = 1
+    def __init__(self, defining: Poly, interval: IsolatingInterval, multiplicity_in_source=1):
+        vars(self).update(
+            defining=defining, interval=interval, multiplicity_in_source=multiplicity_in_source
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraicNumber is immutable")
+
+    def _fields(self) -> tuple:
+        return self.defining, self.interval, self.multiplicity_in_source
+
+    def __eq__(self, other):
+        return isinstance(other, AlgebraicNumber) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"AlgebraicNumber{self._fields()!r}"
 
     @cached_property
     def _sign_lo(self) -> int:

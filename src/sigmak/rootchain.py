@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
@@ -92,7 +91,6 @@ class ChainVerdict(enum.Enum):
     FAILED = "not-right"
 
 
-@dataclass(frozen=True)
 class ChainCertificate:
     """Checkable evidence for the right-chain decision.
 
@@ -103,13 +101,37 @@ class ChainCertificate:
     below the required threshold.
     """
 
-    verdict: ChainVerdict
-    polynomial: Poly
-    chain: tuple[Optional[AlgebraicNumber], ...]
-    signs: tuple[Optional[int], ...]
-    failure_level: Optional[int] = None
-    missing_root: bool = False
-    top_multiplicity: Optional[int] = None
+    def __init__(
+        self,
+        verdict: ChainVerdict,
+        polynomial: Poly,
+        chain: tuple[Optional[AlgebraicNumber], ...],
+        signs: tuple[Optional[int], ...],
+        failure_level: Optional[int] = None,
+        missing_root: bool = False,
+        top_multiplicity: Optional[int] = None,
+    ):
+        vars(self).update(
+            verdict=verdict, polynomial=polynomial, chain=chain, signs=signs,
+            failure_level=failure_level, missing_root=missing_root,
+            top_multiplicity=top_multiplicity,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChainCertificate is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.verdict, self.polynomial, self.chain, self.signs,
+                self.failure_level, self.missing_root, self.top_multiplicity)
+
+    def __eq__(self, other):
+        return isinstance(other, ChainCertificate) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"ChainCertificate{self._fields()!r}"
 
     @property
     def succeeded(self) -> bool:

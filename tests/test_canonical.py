@@ -9,7 +9,6 @@ Regenerate the golden only for an intended change of canonical output:
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import sys
@@ -19,8 +18,9 @@ from pathlib import Path
 
 from sigmak import equations
 from sigmak.cli import canonical_body, main
-from sigmak.equations import SigmaKPolynomial, certify_stable, sample_region
+from sigmak.equations import SigmaKPolynomial, StabilityReport, certify_stable, sample_region
 from sigmak.realroots import approx, bracket, refine
+from sigmak.rootchain import ChainCertificate
 
 from _oracles import corpus_equations
 
@@ -98,12 +98,19 @@ def test_sample_region_ignores_the_interval(monkeypatch):
     f = SigmaKPolynomial(5, tuple(F(v) for v in EX11["c"]))
     want = sample_region(f, 8, 7)
     report = certify_stable(f)
-    chain = report.certificate.chain
-    tight = dataclasses.replace(
-        report.certificate, chain=(refine(chain[0], F(1, 10**30)),) + chain[1:]
+    cert = report.certificate
+    chain = cert.chain
+    tight = ChainCertificate(
+        cert.verdict,
+        cert.polynomial,
+        (refine(chain[0], F(1, 10**30)),) + chain[1:],
+        cert.signs,
+        cert.failure_level,
+        cert.missing_root,
+        cert.top_multiplicity,
     )
     assert tight.chain[0].interval != chain[0].interval
-    tight_report = dataclasses.replace(report, certificate=tight)
+    tight_report = StabilityReport(report.verdict, tight)
     monkeypatch.setattr(equations, "certify_stable", lambda _: tight_report)
     assert sample_region(f, 8, 7) == want
 

@@ -591,7 +591,7 @@ def run_fresh(*argv):
 
 class TestLazyImports:
     def test_cli_import_set(self):
-        heavy = ["mpmath", "numpy", "sigmak.analysis", "sigmak.presets"]
+        heavy = ["mpmath", "numpy", "dataclasses", "inspect", "sigmak.analysis", "sigmak.presets"]
         proc = run_fresh(
             "-c", f"import sys, sigmak.cli; print([m for m in {heavy!r} if m in sys.modules])"
         )
@@ -613,14 +613,14 @@ class TestLazyImports:
         ],
     )
     def test_commands_that_import_late(self, tmp_path, argv):
-        """Every command runs in a process where ``import numpy`` and ``import mpmath`` fail."""
+        """Every command runs in a process where importing numpy, mpmath or dataclasses fails."""
         paths = {
             "ex11": write_json(tmp_path / "ex11.json", EX11),
             "ex12": write_json(tmp_path / "ex12.json", EX12),
         }
         probe = (
             "import runpy, sys\n"
-            "sys.modules['numpy'] = sys.modules['mpmath'] = None\n"
+            "sys.modules['numpy'] = sys.modules['mpmath'] = sys.modules['dataclasses'] = None\n"
             "runpy.run_module('sigmak', run_name='__main__')\n"
         )
         proc = run_fresh("-c", probe, *(arg.format(**paths) for arg in argv))
@@ -629,7 +629,7 @@ class TestLazyImports:
 
 
     def test_float_certify_loads_no_numpy(self, tmp_path):
-        heavy = ["mpmath", "numpy", "sigmak.analysis", "sigmak.presets"]
+        heavy = ["mpmath", "numpy", "dataclasses", "inspect", "sigmak.analysis", "sigmak.presets"]
         ex11 = write_json(tmp_path / "ex11.json", EX11)
         probe = (
             "import runpy, sys\n"

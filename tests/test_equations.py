@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -27,8 +29,9 @@ from sigmak.errors import (
     SamplingExhausted,
 )
 from sigmak.poly import Poly, taylor_shift
-from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
-from sigmak.realroots import Order, bracket, compare
+from sigmak.presets import DhymSpec, hessian_type, j_equation, monge_ampere, nonneg_coeff
+from sigmak.realroots import AlgebraicNumber, IsolatingInterval, Order, bracket, compare
+from sigmak.rootchain import certify_right
 
 EXAMPLE_11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
 EXAMPLE_12 = SigmaKPolynomial(5, (F(-24), F(-2), F(65), F(19), F(0)))
@@ -48,6 +51,57 @@ def random_stable_equation(rng, n, require_strict=True, max_tries=500):
         if report.is_strict or (report.is_stable and not require_strict):
             return f
     raise AssertionError("could not draw a stable equation")
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "n, c",
+        [(2.0, (1, 2)), (True, (1,)), (False, ()), ("2", (1, 2)), (F(2), (1, 2)), (None, ())],
+        ids=["float", "true", "false", "str", "fraction", "none"],
+    )
+    def test_degree_must_be_an_int(self, n, c):
+        with pytest.raises(DimensionMismatch):
+            SigmaKPolynomial(n, c)
+
+    @pytest.mark.parametrize(
+        "build, other, field",
+        [
+            (lambda: SigmaKPolynomial(2, (1, 0)), SigmaKPolynomial(2, (F(1), F(1))), "n"),
+            (lambda: IsolatingInterval(F(1), F(2)), IsolatingInterval(F(1), F(3)), "lo"),
+            (
+                lambda: AlgebraicNumber(Poly([-2, 0, 1]), IsolatingInterval(F(1), F(2))),
+                AlgebraicNumber(Poly([-2, 0, 1]), IsolatingInterval(F(1), F(2)), 2),
+                "interval",
+            ),
+            (
+                lambda: certify_right(diagonal_restriction(EXAMPLE_11)),
+                certify_right(diagonal_restriction(EXAMPLE_12)),
+                "chain",
+            ),
+            (lambda: DhymSpec(3, F(3, 4)), DhymSpec(3, F(3, 4), F(0), 6), "precision"),
+        ],
+        ids=["equation", "interval", "algebraic-number", "certificate", "dhym-spec"],
+    )
+    def test_immutable_and_equal_by_value(self, build, other, field):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "value",
+        [SigmaKPolynomial(2, (1, 0)), IsolatingInterval(F(1), F(2)), DhymSpec(3, F(3, 4))],
+        ids=["equation", "interval", "dhym-spec"],
+    )
+    @pytest.mark.parametrize(
+        "how",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_equal_the_original(self, value, how):
+        assert how(value) == value
 
 
 class TestEvaluate:
