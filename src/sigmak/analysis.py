@@ -24,7 +24,9 @@ from .equations import (
     cone_membership,
     sample_region,
 )
-from .errors import NotCertified, NotStableEquation, OutOfDeformationRange, SigmaKError
+from .errors import (
+    EmptySampleRange, NotCertified, NotStableEquation, OutOfDeformationRange, SigmaKError
+)
 from .poly import Poly, _primitive_ints, _value, derivative, evaluate, taylor_shift
 from .realroots import Order, bracket, compare, from_rational
 from .rootchain import ChainCertificate, certify_right
@@ -157,8 +159,14 @@ def deformation(
 
 
 def _x_max(cert: ChainCertificate, x_max) -> Fraction:
-    """``x_max``, or by default 1.7 times the 6-digit upper bracket of ``x_0``, plus 1."""
-    return cert.x0_bracket[1] * Fraction(17, 10) + 1 if x_max is None else Fraction(x_max)
+    """``x_max``, or by default ``hi + 7/10 |hi| + 1``, ``hi`` the 6-digit upper bracket of ``x_0``.
+
+    The default is 1.7 times ``hi`` plus 1 when ``hi >= 0``, and at least 1 above ``x_0``.
+    """
+    if x_max is not None:
+        return Fraction(x_max)
+    hi = cert.x0_bracket[1]
+    return hi + Fraction(7, 10) * abs(hi) + 1
 
 
 # curves in the default deformation grid
@@ -200,7 +208,9 @@ def deformation_family(
     ``y_grid`` None takes ``_default_grid``.  Each curve is deformed once.
     Its rows take ``x_count`` samples from just above its parameter; each
     adjacent pair is compared at ``descent_count`` samples above the larger
-    parameter, and a positive minimum margin means strict descent.
+    parameter, and a positive minimum margin means strict descent.  An
+    ``x_max`` at or below the largest parameter plus that margin leaves the
+    top curve no sample and raises ``EmptySampleRange``.
     """
     cert = certificate if certificate is not None else certify_right(p)
     if not cert.succeeded:
@@ -208,13 +218,14 @@ def deformation_family(
     ys = sorted(Fraction(v) for v in (_default_grid(cert) if y_grid is None else y_grid))
     ratios = [_ratio(deformation(p, y, certificate=cert).poly) for y in ys]
     x_max = _x_max(cert, x_max)
+    if ys and not x_max > ys[-1] + _DESCENT_X_MARGIN:
+        raise EmptySampleRange("x_max must lie above the largest deformation parameter plus 1/100")
     rows, margins = [], []
     for y, ratio in zip(ys, ratios):
         rows += [(x, y, ratio(x)) for x in _grid(y + _DESCENT_X_MARGIN, x_max, x_count)]
     for y_b, ratio_a, ratio_b in zip(ys[1:], ratios, ratios[1:]):
         lo = y_b + _DESCENT_X_MARGIN
-        if lo < x_max:
-            margins += [ratio_a(x) - ratio_b(x) for x in _grid(lo, x_max, descent_count + 1)[1:]]
+        margins += [ratio_a(x) - ratio_b(x) for x in _grid(lo, x_max, descent_count + 1)[1:]]
     low = min(margins, default=None)
     ok = len(ys) < 2 or (low is not None and low > 0)
     return rows, DescentReport(len(ys), len(margins), low, ok)

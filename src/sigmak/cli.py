@@ -10,7 +10,7 @@ or parse errors, 3 internal precondition violations.
 them, so a ``certify``, ``dominance`` or ``membership`` run loads neither.
 No command imports anything outside the standard library, nor its data
 classes module, which loads ``inspect`` and ``ast``: sigmak's records are
-``NamedTuple``s or small immutable classes, which a cold start defines faster.
+``NamedTuple``s or subclasses of one immutable base, which a cold start defines faster.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .equations import (
     diagonal_restriction,
     dominates,
 )
-from .errors import OutOfDeformationRange, SigmaKError
+from .errors import EmptySampleRange, OutOfDeformationRange, SigmaKError
 from .poly import Poly
 from .rationals import format_rational, format_significant, parse_rational
 from .realroots import Order, bracket, rounded
@@ -239,9 +239,12 @@ def _emit_rows(args, extras: dict, header: str, rows) -> None:
     """Round exact rows once into ``--csv`` (undefined: an empty cell) or ``rows`` (null)."""
     rows = [[format_significant(v) for v in row] for row in rows]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(header + "\n")
-            handle.writelines(",".join(v or "" for v in row) + "\n" for row in rows)
+        try:
+            with open(args.csv, "w", encoding="utf-8") as handle:
+                handle.write(header + "\n")
+                handle.writelines(",".join(v or "" for v in row) + "\n" for row in rows)
+        except OSError as exc:
+            raise UsageError(f"cannot write --csv: {exc}") from exc
         extras["csv"] = args.csv
     else:
         extras["rows"] = rows
@@ -337,6 +340,8 @@ def _deform(args, state):
             "--y-grid values must lie in the deformation window: from the largest root"
             " of p^(m), m the top root's multiplicity, to the largest root of p"
         ) from exc
+    except EmptySampleRange as exc:
+        raise UsageError("--x-max must lie above the largest curve parameter plus 1/100") from exc
     extras = {
         "curves": descent.curves,
         "descending_in_y": descent.all_positive,

@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+from ._value import Value
 from .errors import (
     DimensionMismatch,
     InvalidPoint,
@@ -52,7 +53,7 @@ from .rootchain import ChainCertificate, ChainVerdict, certify_right
 FLOAT_MARGIN = 1e-9
 
 
-class SigmaKPolynomial:
+class SigmaKPolynomial(Value):
     """Degree n and coefficients c_0..c_{n-1} of a general inverse sigma_k equation.
 
     Immutable, equal and hashed by value: ``certify_stable`` caches on it.
@@ -71,20 +72,8 @@ class SigmaKPolynomial:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SigmaKPolynomial is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SigmaKPolynomial) and (self.n, self.c) == (other.n, other.c)
-
-    def __hash__(self):
-        return hash((self.n, self.c))
-
-    def __repr__(self):
-        return f"SigmaKPolynomial{(self.n, self.c)!r}"
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
-        return SigmaKPolynomial, (self.n, self.c)
+    def _fields(self) -> tuple:
+        return self.n, self.c
 
 
 def _empty_sigmas(size: int) -> list:

@@ -41,6 +41,10 @@ class OutOfDeformationRange(SigmaKError):
     """The deformation parameter lies outside the admissible root window."""
 
 
+class EmptySampleRange(SigmaKError):
+    """The deformation rows would sample above ``x_max``, an empty range."""
+
+
 class NonPositiveConstant(SigmaKError):
     """A preset constant that must be positive is not."""
 

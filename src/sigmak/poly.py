@@ -19,13 +19,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import ZeroPolynomial
 from .rationals import sign
 
 NEG_INF = float("-inf")
 
 
-class Poly:
+class Poly(Value):
     """Immutable dense univariate polynomial with ``Fraction`` coefficients."""
 
     __slots__ = ("coeffs",)
@@ -36,8 +37,8 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def _fields(self) -> tuple:
+        return (self.coeffs,)
 
     # -- basic structure -----------------------------------------------------
 
@@ -59,12 +60,6 @@ class Poly:
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if self.is_zero:
@@ -263,7 +258,7 @@ def _value(q: list[int], x: Fraction) -> int:
     return acc
 
 
-class SturmChain:
+class SturmChain(Value):
     """Sturm sequence of the squarefree part of a polynomial.
 
     Consecutive elements satisfy the negated-Euclidean-remainder recurrence;
@@ -276,8 +271,8 @@ class SturmChain:
     def __init__(self, chain: Sequence[Poly]):
         object.__setattr__(self, "chain", tuple(chain))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SturmChain is immutable")
+    def _fields(self) -> tuple:
+        return (self.chain,)
 
     def variations(self, x: Fraction) -> int:
         signs = [sign(evaluate(q, x)) for q in self.chain]

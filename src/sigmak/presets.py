@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._value import Value
 from .equations import SigmaKPolynomial
 from .errors import (
     DegreeOutOfRange,
@@ -103,7 +104,7 @@ def parse_phase(text: str) -> tuple[Fraction, Fraction]:
     return mult, parse_rational((match.group("off") or "0").replace(" ", ""))
 
 
-class DhymSpec:
+class DhymSpec(Value):
     """Phase equation parameters: degree, phase ``pi_mult*pi + offset``, digits.
 
     The defaults are class attributes: ``DhymSpec.precision`` is the default precision.
@@ -115,20 +116,8 @@ class DhymSpec:
     def __init__(self, n: int, pi_mult: Fraction, offset=offset, precision=precision):
         vars(self).update(n=n, pi_mult=pi_mult, offset=offset, precision=precision)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DhymSpec is immutable")
-
     def _fields(self) -> tuple:
         return self.n, self.pi_mult, self.offset, self.precision
-
-    def __eq__(self, other):
-        return isinstance(other, DhymSpec) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"DhymSpec{self._fields()!r}"
 
 
 @functools.cache  # one entry per working precision that _decide tries

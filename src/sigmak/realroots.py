@@ -26,6 +26,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+from ._value import Value
 from .errors import ZeroPolynomial
 from .poly import (
     Poly,
@@ -44,7 +45,7 @@ from .rationals import sign
 _PLAIN_BISECTIONS = 4
 
 
-class IsolatingInterval:
+class IsolatingInterval(Value):
     """Closed rational interval holding exactly one root of the owner's defining polynomial."""
 
     __slots__ = ("lo", "hi")
@@ -55,20 +56,8 @@ class IsolatingInterval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IsolatingInterval is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, IsolatingInterval) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self):
-        return f"IsolatingInterval{(self.lo, self.hi)!r}"
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
-        return IsolatingInterval, (self.lo, self.hi)
+    def _fields(self) -> tuple:
+        return self.lo, self.hi
 
     @property
     def width(self) -> Fraction:
@@ -91,7 +80,7 @@ class Order(enum.Enum):
     GREATER = 1
 
 
-class AlgebraicNumber:
+class AlgebraicNumber(Value):
     """One real root of a polynomial, pinned by an isolating interval.
 
     The interval holds exactly one root of ``defining``, and it is simple;
@@ -111,20 +100,8 @@ class AlgebraicNumber:
             defining=defining, interval=interval, multiplicity_in_source=multiplicity_in_source
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraicNumber is immutable")
-
     def _fields(self) -> tuple:
         return self.defining, self.interval, self.multiplicity_in_source
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraicNumber) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"AlgebraicNumber{self._fields()!r}"
 
     @cached_property
     def _sign_lo(self) -> int:

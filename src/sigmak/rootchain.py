@@ -64,6 +64,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
+from ._value import Value
 from .errors import DegreeTooLow
 from .poly import Poly, _primitive_ints, _value, remainder_sequence
 from .rationals import sign
@@ -91,7 +92,7 @@ class ChainVerdict(enum.Enum):
     FAILED = "not-right"
 
 
-class ChainCertificate:
+class ChainCertificate(Value):
     """Checkable evidence for the right-chain decision.
 
     ``chain[k]`` is the largest real root of ``p^(k)`` (None above the
@@ -117,21 +118,9 @@ class ChainCertificate:
             top_multiplicity=top_multiplicity,
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainCertificate is immutable")
-
     def _fields(self) -> tuple:
         return (self.verdict, self.polynomial, self.chain, self.signs,
                 self.failure_level, self.missing_root, self.top_multiplicity)
-
-    def __eq__(self, other):
-        return isinstance(other, ChainCertificate) and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"ChainCertificate{self._fields()!r}"
 
     @property
     def succeeded(self) -> bool:

@@ -20,6 +20,8 @@ from sigmak.rootchain import certify_right
 EX11 = {"n": 5, "c": ["-20", "9", "-64", "19", "0"]}
 EX12 = {"n": 5, "c": ["-24", "-2", "65", "19", "0"]}
 FIG2_QUARTIC = "1275,-260,-24,0,1"
+ROOTS_10_TO_12 = Poly([1320, 362, 33, 1])
+ROOTS_1_TO_4 = Poly([24, 50, 35, 10, 1])
 
 
 def restriction(obj) -> Poly:
@@ -45,7 +47,8 @@ def deform_oracle(p, samples, ys=None, x_max=None):
     """
     cert = certify_right(p)
     ys = sorted(_default_grid(cert) if ys is None else ys)
-    x_max = cert.x0_bracket[1] * F(17, 10) + 1 if x_max is None else x_max
+    hi = cert.x0_bracket[1]
+    x_max = hi + F(7, 10) * abs(hi) + 1 if x_max is None else x_max
     curves = [deformation(p, y, certificate=cert).poly for y in ys]
     rows = []
     for y, q in zip(ys, curves):
@@ -432,8 +435,11 @@ class TestDeform:
                     x_max=F(42, 5),
                 ),
             ),
+            # top roots -10 and -1: the default x_max is x_0 + 7/10 |x_0| + 1, -2 and 0.7
+            (["--poly=1320,362,33,1", "--samples=4"], lambda: deform_oracle(ROOTS_10_TO_12, 4)),
+            (["--poly=24,50,35,10,1", "--samples=4"], lambda: deform_oracle(ROOTS_1_TO_4, 4)),
         ],
-        ids=["ex11-default-grid", "fig2-quartic"],
+        ids=["ex11-default-grid", "fig2-quartic", "roots-10-to-12", "roots-1-to-4"],
     )
     def test_rows_match_oracle(self, tmp_path, capsys, argv, oracle):
         ex11 = write_json(tmp_path / "f.json", EX11)
@@ -777,6 +783,10 @@ class TestMalformedInput:
             ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "1e400", "--samples", "2"],
             ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid=-1e400", "--samples", "2"],
             ["deform", "--poly", "1275,-260,-24,0,1", "--y-grid", "100", "--samples", "2"],
+            # the top curve's rows would start at or above x_max: its parameter plus 1/100
+            ["deform", "--poly", FIG2_QUARTIC, "--x-max", "0", "--samples", "2"],
+            ["deform", "--poly", FIG2_QUARTIC, "--y-grid=3", "--x-max=3.01", "--samples=2"],
+            ["deform", "--poly", FIG2_QUARTIC, "--y-grid=2.25:5:4", "--x-max=5.005", "--samples=2"],
         ],
         ids=[
             "monge-ampere-degree-0",
@@ -788,6 +798,9 @@ class TestMalformedInput:
             "deform-grid-huge",
             "deform-grid-huge-negative",
             "deform-grid-above-root",
+            "deform-x-max-below-the-default-grid",
+            "deform-x-max-at-the-first-sample",
+            "deform-x-max-below-the-top-curve",
         ],
     )
     def test_parameter_out_of_range(self, capsys, argv):
@@ -803,12 +816,32 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("x_max", ["1e400", "-1e400"])
     def test_deform_x_max_beyond_float(self, tmp_path, capsys, x_max):
-        # the sample abscissae are exact, so any rational --x-max is a profile
+        # the sample abscissae are exact, so any rational --x-max above the curves is a
+        # profile; one below them leaves the curves no sample and exits 2
         path = write_json(tmp_path / "f.json", EX11)
         code, out, err = run(capsys, "deform", path, f"--x-max={x_max}", "--samples", "2")
+        if x_max.startswith("-"):
+            assert code == 2 and out == "" and err.startswith("error: --x-max")
+            return
         assert code == 0 and err == ""
         oracle = deform_oracle(restriction(EX11), 2, x_max=parse_rational(x_max))
         assert json.loads(out)["extras"] == oracle
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "{f}", "--range", "11.7:18", "--samples", "4"],
+            ["deform", "--poly", FIG2_QUARTIC, "--samples", "2"],
+        ],
+        ids=["alpha", "deform"],
+    )
+    def test_unwritable_csv(self, tmp_path, capsys, argv, target):
+        path = write_json(tmp_path / "f.json", EX11)
+        csv = tmp_path if target == "directory" else tmp_path / "missing" / "out.csv"
+        code, out, err = run(capsys, *[arg.format(f=path) for arg in argv], "--csv", str(csv))
+        assert code == 2 and out == "" and err.startswith("error: cannot write --csv")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

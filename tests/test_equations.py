@@ -28,9 +28,16 @@ from sigmak.errors import (
     NotStableEquation,
     SamplingExhausted,
 )
-from sigmak.poly import Poly, taylor_shift
+from sigmak.poly import Poly, SturmChain, sturm_chain, taylor_shift
 from sigmak.presets import DhymSpec, hessian_type, j_equation, monge_ampere, nonneg_coeff
-from sigmak.realroots import AlgebraicNumber, IsolatingInterval, Order, bracket, compare
+from sigmak.realroots import (
+    AlgebraicNumber,
+    IsolatingInterval,
+    Order,
+    bracket,
+    compare,
+    isolate_real_roots,
+)
 from sigmak.rootchain import certify_right
 
 EXAMPLE_11 = SigmaKPolynomial(5, (F(-20), F(9), F(-64), F(19), F(0)))
@@ -79,8 +86,12 @@ class TestValueTypes:
                 "chain",
             ),
             (lambda: DhymSpec(3, F(3, 4)), DhymSpec(3, F(3, 4), F(0), 6), "precision"),
+            (lambda: Poly([1, 2]), Poly([1, 3]), "coeffs"),
+            (lambda: SturmChain([Poly([-2, 0, 1]), Poly([0, 1])]), SturmChain([]), "chain"),
         ],
-        ids=["equation", "interval", "algebraic-number", "certificate", "dhym-spec"],
+        ids=[
+            "equation", "interval", "algebraic-number", "certificate", "dhym-spec", "poly", "sturm",
+        ],
     )
     def test_immutable_and_equal_by_value(self, build, other, field):
         a, b = build(), build()
@@ -88,12 +99,26 @@ class TestValueTypes:
         assert a != other
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
         assert a == b
 
     @pytest.mark.parametrize(
         "value",
-        [SigmaKPolynomial(2, (1, 0)), IsolatingInterval(F(1), F(2)), DhymSpec(3, F(3, 4))],
-        ids=["equation", "interval", "dhym-spec"],
+        [
+            SigmaKPolynomial(2, (1, 0)),
+            IsolatingInterval(F(1), F(2)),
+            DhymSpec(3, F(3, 4)),
+            Poly([1, 2]),
+            sturm_chain(Poly([-2, 0, 1])),
+            isolate_real_roots(Poly([-2, 0, 1]))[1],
+            certify_right(diagonal_restriction(EXAMPLE_11)),
+            certify_stable(EXAMPLE_12),
+        ],
+        ids=[
+            "equation", "interval", "dhym-spec", "poly", "sturm", "algebraic-number",
+            "certificate", "report",
+        ],
     )
     @pytest.mark.parametrize(
         "how",

@@ -21,6 +21,7 @@ from sigmak.analysis import (
     deformation_family,
 )
 from sigmak.equations import diagonal_restriction
+from sigmak.errors import EmptySampleRange
 from sigmak.poly import Poly, cauchy_root_bound
 from sigmak.rationals import format_significant
 from sigmak.rootchain import certify_right
@@ -107,15 +108,19 @@ class TestDeformationExact:
         [
             (FIG2_QUARTIC, FIG2_Y_GRID, 40, F(42, 5)),
             (EX11_RESTRICTION, None, 64, None),
+            # top roots -10 and -1: the default x_max still lies above every curve
+            (Poly([1320, 362, 33, 1]), None, 8, None),
+            (Poly([24, 50, 35, 10, 1]), None, 8, None),
         ],
-        ids=["fig2-quartic", "ex11-default-grid"],
+        ids=["fig2-quartic", "ex11-default-grid", "roots-10-to-12", "roots-1-to-4"],
     )
     def test_descent_unchanged(self, p, ys, x_count, x_max):
         # None takes the default grid and x_max, here and in the oracle's arguments
         _, report = deformation_family(p, ys, x_count, x_count, x_max)
         cert = certify_right(p)
         ys = _default_grid(cert) if ys is None else ys
-        x_max = cert.x0_bracket[1] * F(17, 10) + 1 if x_max is None else x_max
+        hi = cert.x0_bracket[1]
+        x_max = hi + F(7, 10) * abs(hi) + 1 if x_max is None else x_max
         got = (report.comparisons, report.min_margin, report.all_positive)
         assert got == descent_one_sample_at_a_time(p, ys, x_count, x_max)
         assert report.comparisons == 11 * x_count and report.all_positive
@@ -127,6 +132,11 @@ class TestDeformationExact:
             q = deformation(FIG2_QUARTIC, y).poly
             want += [(x, y, alpha(q, x).alpha) for x in grid(y + F(1, 100), F(42, 5), 9)]
         assert rows == want
+
+    @pytest.mark.parametrize("x_max", [F(0), FIG2_Y_GRID[-1] + F(1, 100)])
+    def test_x_max_at_or_below_the_top_curve(self, x_max):
+        with pytest.raises(EmptySampleRange):
+            deformation_family(FIG2_QUARTIC, FIG2_Y_GRID, 2, 2, x_max)
 
 
 def random_doubles(count):
