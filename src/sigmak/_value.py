@@ -5,7 +5,8 @@ class Value:
     """An immutable value, equal, hashed, copied and pickled by its constructor arguments.
 
     A subclass stores its fields in ``__init__`` with ``object.__setattr__``
-    (slots) or ``vars(self).update`` (a ``__dict__``), and ``_fields``
+    (slots), or with ``vars(self).update`` in ``ChainCertificate``, the one
+    value with a ``__dict__``, which its cached bracket needs; ``_fields``
     returns them in the constructor's order.  Copies and pickles rebuild
     through ``__init__``, so its checks run again and no cached attribute
     travels along.

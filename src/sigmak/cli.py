@@ -49,6 +49,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are ``UsageError``s: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _read_equation(path: str) -> SigmaKPolynomial:
     try:
         if path == "-":
@@ -400,8 +407,8 @@ def _cmd_preset(args) -> int:
             equation = presets.nonneg_coeff(n, lower, top).equation
         else:
             mult, offset = presets.parse_phase(params[1])
-            digits = presets.DhymSpec.precision if args.precision is None else args.precision
-            result = presets.dhym(presets.DhymSpec(n, mult, offset, digits))
+            precision = {} if args.precision is None else {"precision": args.precision}
+            result = presets.dhym(n, mult, offset, **precision)
             equation = result.equation
             extras = {
                 "expected_chain": [f"{v:.12g}" for v in result.expected_chain],
@@ -418,7 +425,7 @@ def _cmd_preset(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmak",
         description="Exact convexity certification of general inverse sigma_k level sets.",
     )
@@ -479,13 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:
+        # only --help exits inside argparse; its rejections raise UsageError
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

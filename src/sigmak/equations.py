@@ -51,6 +51,8 @@ from .realroots import Order, compare
 from .rootchain import ChainCertificate, ChainVerdict, certify_right
 
 FLOAT_MARGIN = 1e-9
+# draws ``sample_region`` may take per requested point, and once more, before it gives up
+_RETRY_FACTOR = 40
 
 
 class SigmaKPolynomial(Value):
@@ -352,7 +354,6 @@ def sample_region(
     seed: int,
     *,
     mode: str = "exact",
-    retry_factor: int = 40,
 ) -> list[tuple]:
     """Deterministic points inside the stable component.
 
@@ -374,7 +375,7 @@ def sample_region(
     spread = x0_hi + 1 if x0_hi + 1 > 0 else Fraction(1)
     rng = random.Random(seed)
     out: list[tuple] = []
-    budget = retry_factor * count + retry_factor
+    budget = _RETRY_FACTOR * (count + 1)
     attempts = 0
     while len(out) < count:
         if attempts >= budget:

@@ -17,7 +17,6 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._value import Value
 from .equations import SigmaKPolynomial
 from .errors import (
     DegreeOutOfRange,
@@ -104,22 +103,6 @@ def parse_phase(text: str) -> tuple[Fraction, Fraction]:
     return mult, parse_rational((match.group("off") or "0").replace(" ", ""))
 
 
-class DhymSpec(Value):
-    """Phase equation parameters: degree, phase ``pi_mult*pi + offset``, digits.
-
-    The defaults are class attributes: ``DhymSpec.precision`` is the default precision.
-    """
-
-    offset = Fraction(0)
-    precision = 15
-
-    def __init__(self, n: int, pi_mult: Fraction, offset=offset, precision=precision):
-        vars(self).update(n=n, pi_mult=pi_mult, offset=offset, precision=precision)
-
-    def _fields(self) -> tuple:
-        return self.n, self.pi_mult, self.offset, self.precision
-
-
 @functools.cache  # one entry per working precision that _decide tries
 def _pi(w: int) -> tuple[int, int]:
     """``(P, e)`` with ``|P - 2**w pi| < e``, by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
@@ -199,21 +182,20 @@ class DhymResult(NamedTuple):
     branch: str
 
 
-def dhym(spec: DhymSpec) -> DhymResult:
+def dhym(n: int, pi_mult, offset=Fraction(0), precision: int = 15) -> DhymResult:
     """Build the phase equation ``sum arctan(lam_i) = theta`` as a sigma_k equation.
 
-    The coefficients are ``c_k = sin(theta - k pi/2) / sin(n pi/2 - theta)``,
-    rounded to ``precision`` decimal digits; the expected largest-root chain
-    is ``x_k = tan((theta - k pi/2) / (n - k))``.  The phase must lie in the
+    The phase is ``theta = pi_mult * pi + offset``.  The coefficients are
+    ``c_k = sin(theta - k pi/2) / sin(n pi/2 - theta)``, rounded to
+    ``precision`` decimal digits; the expected largest-root chain is
+    ``x_k = tan((theta - k pi/2) / (n - k))``.  The phase must lie in the
     supercritical branch ``((n-2) pi/2, n pi/2)`` or its mirror.
     """
-    n = spec.n
     if n < 1:
         raise DegreeOutOfRange("degree must be >= 1")
-    digits = spec.precision
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 0:
+    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 0:
         raise PrecisionOutOfRange("precision must be a non-negative integer")
-    q, r = Fraction(spec.pi_mult), Fraction(spec.offset)
+    q, r = Fraction(pi_mult), Fraction(offset)
     for branch, side in (("supercritical", 1), ("mirror", -1)):
         if (
             sign_of_pi_combination(side * q - Fraction(n - 2, 2), side * r) > 0
@@ -224,7 +206,7 @@ def dhym(spec: DhymSpec) -> DhymResult:
         raise PhaseOutOfRange("phase must lie in ((n-2)pi/2, n pi/2) or (-n pi/2, -(n-2)pi/2)")
     # c_k = -sin(phi + (n - k) pi/2) / sin(phi) with phi = theta - n pi/2, so
     # c_k = (-1, -u, 1, u)[(n - k) % 4] with u = cot(phi) = tan((n+1) pi/2 - theta)
-    unit = 10**digits
+    unit = 10**precision
     u = _decide(lambda v: Fraction(round(v * unit), unit), _tan_bounds, Fraction(n + 1, 2) - q, -r)
     coeffs = tuple((Fraction(-1), -u, Fraction(1), u)[(n - k) % 4] for k in range(n))
     chain = tuple(

@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from ._value import Value
 from .errors import ZeroPolynomial
@@ -85,27 +84,31 @@ class AlgebraicNumber(Value):
 
     The interval holds exactly one root of ``defining``, and it is simple;
     when the interval is a point the root is that rational number itself,
-    otherwise it lies strictly inside, where ``defining`` changes sign.
+    otherwise it lies strictly inside, and ``defining`` rises through it:
+    negative at ``interval.lo``, positive at ``interval.hi``.  The
+    constructor evaluates the sign at ``lo`` once, negates a ``defining``
+    that is positive there and rejects one that vanishes there; only
+    ``_rising`` builds a number whose sign is already proved.
     ``multiplicity_in_source`` records the multiplicity the root had in the
     polynomial it was isolated from.
-
-    The sign of ``defining`` at ``interval.lo`` is evaluated on first use and
-    kept in the instance ``__dict__``; only ``_root_with_sign`` stores one
-    already proved.  It is none of the three fields that the constructor,
-    equality and hashing take, so no new number inherits it.
     """
 
+    __slots__ = ("defining", "interval", "multiplicity_in_source")
+
     def __init__(self, defining: Poly, interval: IsolatingInterval, multiplicity_in_source=1):
-        vars(self).update(
-            defining=defining, interval=interval, multiplicity_in_source=multiplicity_in_source
-        )
+        if not interval.is_point:
+            s = sign(evaluate(defining, interval.lo))
+            if s == 0:
+                raise ValueError("the defining polynomial vanishes at the interval's lower end")
+            defining = -defining if s > 0 else defining
+        self._store(defining, interval, multiplicity_in_source)
+
+    def _store(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return self.defining, self.interval, self.multiplicity_in_source
-
-    @cached_property
-    def _sign_lo(self) -> int:
-        return sign(evaluate(self.defining, self.interval.lo))
 
     @property
     def is_rational(self) -> bool:
@@ -144,11 +147,11 @@ def _shares_root(p: Poly, defining: Poly, lo: Fraction, hi: Fraction) -> bool:
     return sign(evaluate(g, lo)) != sign(evaluate(g, hi))
 
 
-def _step(value, cut, n, lo, hi, v_lo, v_hi, s_lo):
+def _step(value, cut, n, lo, hi, v_lo, v_hi):
     """One step on ``[lo, hi]``: ``(lo, hi, v_lo, v_hi, cells)`` after it, a point at a zero.
 
-    ``value`` changes sign once in ``(lo, hi)``, from ``s_lo``; ``cut(lo, hi,
-    i, n)`` ends the i-th of ``n`` equal cells.  ``n = 2`` bisects.  Else the
+    ``value`` rises through zero once in ``(lo, hi)``; ``cut(lo, hi, i, n)``
+    ends the i-th of ``n`` equal cells.  ``n = 2`` bisects.  Else the
     cell end nearest the secant's zero and its neighbour on the change's side
     are probed; their cell is kept when their signs differ (``cells = n**2``),
     else what is left is bisected (``cells = sqrt(n)``) unless it is one grid
@@ -167,7 +170,7 @@ def _step(value, cut, n, lo, hi, v_lo, v_hi, s_lo):
     v = value(x)
     if v == 0:
         return x, x, v, v, n
-    j = i + 1 if sign(v) == s_lo else i - 1
+    j = i + 1 if v < 0 else i - 1
     y = cut(lo, hi, j, n) if 0 < j < n else None
     lo, hi, v_lo, v_hi = (x, hi, v, v_hi) if j > i else (lo, x, v_lo, v)
     if y is None:
@@ -180,7 +183,7 @@ def _step(value, cut, n, lo, hi, v_lo, v_hi, s_lo):
     if accepted:
         return lo, hi, v_lo, v_hi, n * n
     if cut(lo, hi, 1, 2) != lo:
-        lo, hi, v_lo, v_hi, _ = _step(value, cut, 2, lo, hi, v_lo, v_hi, s_lo)
+        lo, hi, v_lo, v_hi, _ = _step(value, cut, 2, lo, hi, v_lo, v_hi)
     return lo, hi, v_lo, v_hi, max(4, math.isqrt(n))
 
 
@@ -193,34 +196,31 @@ def _grid_cut(lo: int, hi: int, i: int, n: int) -> int:
 
 
 def _narrowing(alpha: AlgebraicNumber):
-    """``(lo, hi, sign_lo)`` for ``alpha``'s interval, then after each ``_step`` on it.
+    """``(lo, hi)``, ``alpha``'s interval, then after each ``_step`` on it.
 
-    ``sign_lo`` is the sign of ``defining`` at ``lo``, 0 once a step lands on
-    the root.  After ``_PLAIN_BISECTIONS`` bisections the steps are Abbott's,
-    so each at least halves the width and the bits they gain double.
+    After ``_PLAIN_BISECTIONS`` bisections the steps are Abbott's, so each
+    at least halves the width and the bits they gain double.  Every
+    interval holds the root with ``defining`` rising through it, or is the
+    point a step landed on.
     """
-    q, lo, hi = alpha.defining, alpha.interval.lo, alpha.interval.hi
-    s_lo, value = alpha._sign_lo if lo != hi else 0, functools.partial(evaluate, q)
+    lo, hi = alpha.interval.lo, alpha.interval.hi
+    value = functools.partial(evaluate, alpha.defining)
     v_lo, v_hi, cells = None, None, 4
     for step in itertools.count():
-        yield lo, hi, s_lo if lo != hi else 0
+        yield lo, hi
         if lo != hi:
             n = 2 if step < _PLAIN_BISECTIONS else cells
-            lo, hi, v_lo, v_hi, cells = _step(value, _cut, n, lo, hi, v_lo, v_hi, s_lo)
+            lo, hi, v_lo, v_hi, cells = _step(value, _cut, n, lo, hi, v_lo, v_hi)
 
 
-def _root_with_sign(
-    defining: Poly, lo: Fraction, hi: Fraction, sign_lo: int, multiplicity: int = 1
-) -> AlgebraicNumber:
-    """The root of ``defining`` in ``[lo, hi]``, keeping ``sign_lo``, its proved sign at ``lo``.
+def _rising(defining: Poly, lo: Fraction, hi: Fraction, multiplicity: int = 1) -> AlgebraicNumber:
+    """The root of ``defining`` in ``[lo, hi]``, built without evaluating.
 
-    A known root on a narrowed interval, or a new one whose bracket proved
-    the sign.  A point keeps no sign.
+    ``defining`` must be proved negative at ``lo`` unless ``lo == hi``: a
+    known root on a narrowed interval, or a new one whose bracket proved it.
     """
-    alpha = AlgebraicNumber(defining, IsolatingInterval(lo, hi), multiplicity)
-    if lo != hi:
-        # the slot of the cached property ``_sign_lo``, which would evaluate it again
-        vars(alpha)["_sign_lo"] = sign_lo
+    alpha = object.__new__(AlgebraicNumber)
+    alpha._store(defining, IsolatingInterval(lo, hi), multiplicity)
     return alpha
 
 
@@ -231,9 +231,9 @@ def refine(alpha: AlgebraicNumber, eps) -> AlgebraicNumber:
         raise ValueError("eps must be positive")
     if alpha.interval.width <= eps:
         return alpha
-    for lo, hi, s_lo in _narrowing(alpha):
+    for lo, hi in _narrowing(alpha):
         if hi - lo <= eps:
-            return _root_with_sign(alpha.defining, lo, hi, s_lo, alpha.multiplicity_in_source)
+            return _rising(alpha.defining, lo, hi, alpha.multiplicity_in_source)
 
 
 def isolate_real_roots(p: Poly) -> list[AlgebraicNumber]:
@@ -308,7 +308,7 @@ def sign_at(p: Poly, alpha: AlgebraicNumber) -> int:
     g = poly_gcd(p, alpha.defining)
     if g.degree >= 1 and sturm_chain(g).count(alpha.interval.lo, alpha.interval.hi) >= 1:
         return 0
-    for lo, hi, _ in _narrowing(alpha):
+    for lo, hi in _narrowing(alpha):
         if lo == hi:
             return sign(evaluate(p, lo))
         vlo, vhi = p.eval_interval(lo, hi)
@@ -326,11 +326,11 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
     if alpha.is_rational:
         return Order(-compare(beta, alpha).value)
     if beta.is_rational:
-        # on alpha's interval its defining polynomial has the sign at lo just below alpha
+        # on alpha's interval its defining polynomial is negative just below alpha
         r = beta.rational_value
         if not alpha.interval.contains(r):
             return Order.GREATER if r < alpha.interval.lo else Order.LESS
-        return Order(sign(evaluate(alpha.defining, r)) * alpha._sign_lo)
+        return Order(-sign(evaluate(alpha.defining, r)))
 
     a_lo, a_hi = alpha.interval.lo, alpha.interval.hi
     b_lo, b_hi = beta.interval.lo, beta.interval.hi
@@ -343,7 +343,7 @@ def compare(alpha: AlgebraicNumber, beta: AlgebraicNumber) -> Order:
     if _shares_root(alpha.defining, beta.defining, max(a_lo, b_lo), min(a_hi, b_hi)):
         return Order.EQUAL
     # the narrowings shrink to the two distinct roots, which separates them
-    for (a_lo, a_hi, _), (b_lo, b_hi, _) in zip(_narrowing(alpha), _narrowing(beta)):
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(_narrowing(alpha), _narrowing(beta)):
         if a_hi < b_lo:
             return Order.LESS
         if b_hi < a_lo:
@@ -384,7 +384,7 @@ def bracket(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
         if hi - lo <= 1:
             return Fraction(lo, scale), Fraction(hi, scale)
         n = 2 if step < _PLAIN_BISECTIONS else min(cells, hi - lo)
-        lo, hi, v_lo, v_hi, cells = _step(probe, _grid_cut, n, lo, hi, v_lo, v_hi, alpha._sign_lo)
+        lo, hi, v_lo, v_hi, cells = _step(probe, _grid_cut, n, lo, hi, v_lo, v_hi)
 
 
 def approx(alpha: AlgebraicNumber, digits: int) -> str:

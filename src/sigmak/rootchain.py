@@ -43,10 +43,12 @@ built once as primitive integer coefficient lists, each a positive multiple
 of ``p^(k)``, and a sign at ``x = N/D`` is the sign of the integer
 ``D^d * Q(N/D)``.  The tangent bound is multiplied through by its positive
 denominators the same way; only the narrowing of ``x_{k+1}``'s interval
-still runs in ``Fraction``.  Every root keeps the lower-end sign the
-certifier proved, through ``realroots._root_with_sign``: -1 for the root
-found above ``x_{k+1}``, defined by the ladder entry of ``p^(k)``, and the
-narrowing's own for a narrowed interval and a tie's repeated root.
+still runs in ``Fraction``.  Every root the certifier builds is one whose
+defining polynomial is proved to rise through it, so it is built through
+``realroots._rising`` without evaluating that sign again: the root found
+above ``x_{k+1}`` is defined by the ladder entry of ``p^(k)``, negative at
+the start of its bracket, and a narrowed interval or a tie's repeated root
+keeps the defining polynomial of ``x_{k+1}``.
 
 At a failure level ``p^(k)(x_{k+1}) > 0`` is proved, so any ``w`` with
 ``p^(k)(w) <= 0`` witnesses a real root in ``[w, x_{k+1})``.  An odd
@@ -70,21 +72,13 @@ from .poly import Poly, _primitive_ints, _value, remainder_sequence
 from .rationals import sign
 from .realroots import (
     AlgebraicNumber,
+    _PLAIN_BISECTIONS,
     _narrowing,
-    _root_with_sign,
+    _rising,
     _shares_root,
     bracket,
     from_rational,
 )
-
-# Narrowing steps a level takes before its exact zero test.  Every level with
-# a nonzero sign settles by narrowing alone and a tie never does, so the gcd
-# is only worth its cost once narrowing has stalled.  On seeded degree-12 to
-# 32 equations a negative sign settled within 3 steps and a positive one,
-# proved by the tangent bound, within 4, the plain bisections of ``_narrowing``;
-# on 3000 random integer polynomials of degree 2 to 10 both settled within 7.
-_STEPS_BEFORE_ZERO_TEST = 8
-
 
 class ChainVerdict(enum.Enum):
     STRICT = "strict-right"
@@ -170,25 +164,27 @@ def _tangent_bound(q_hi: int, dq: list[int], slope: int, lo: Fraction, hi: Fract
 
 def _sign_at_increasing(
     q: list[int], dq: list[int], slope: int, alpha: AlgebraicNumber
-) -> tuple[int, Fraction, Fraction, int]:
+) -> tuple[int, Fraction, Fraction]:
     """Exact sign of ``q`` at ``alpha``, for ``q`` strictly increasing and convex on ``[alpha, oo)``.
 
     ``q`` and ``dq`` are integer forms with ``q' = slope * dq``.  Also
-    returns the narrowing ``(lo, hi, sign_lo)`` of ``alpha`` that decided
-    the sign; on a negative sign ``q`` is ``<= 0`` at ``hi``.
+    returns the narrowing ``(lo, hi)`` of ``alpha`` that decided the sign;
+    on a negative sign ``q`` is ``<= 0`` at ``hi``.  Every nonzero sign
+    settles by narrowing alone and a tie never does, so the exact zero test
+    runs once, when the plain bisections of ``_narrowing`` end.
     """
-    for steps, (lo, hi, s_lo) in enumerate(_narrowing(alpha)):
+    for steps, (lo, hi) in enumerate(_narrowing(alpha)):
         if lo == hi:
             s = sign(_value(q, lo))
         elif (q_hi := _value(q, hi)) <= 0:
             s = -1
         elif _tangent_bound(q_hi, dq, slope, lo, hi) > 0:
             s = 1
-        elif steps == _STEPS_BEFORE_ZERO_TEST and _shares_root(Poly(q), alpha.defining, lo, hi):
+        elif steps == _PLAIN_BISECTIONS and _shares_root(Poly(q), alpha.defining, lo, hi):
             s = 0
         else:
             continue
-        return s, lo, hi, s_lo
+        return s, lo, hi
 
 
 def _root_above(q: list[int], start: Fraction) -> AlgebraicNumber:
@@ -205,7 +201,7 @@ def _root_above(q: list[int], start: Fraction) -> AlgebraicNumber:
         hi = num + width
         value = _value(q, Fraction(hi, den))
         if value > 0:
-            return _root_with_sign(Poly(q), Fraction(num, den), Fraction(hi, den), -1)
+            return _rising(Poly(q), Fraction(num, den), Fraction(hi, den))
         num, width = hi, 2 * width
     return from_rational(Fraction(num, den))
 
@@ -238,9 +234,9 @@ def certify_right(p: Poly) -> ChainCertificate:
 
     for k in range(n - 2, -1, -1):
         alpha = chain[k + 1]
-        s, lo, hi, s_lo = _sign_at_increasing(ladder[k], ladder[k + 1], slopes[k], alpha)
+        s, lo, hi = _sign_at_increasing(ladder[k], ladder[k + 1], slopes[k], alpha)
         multiplicity = alpha.multiplicity_in_source
-        chain[k + 1] = _root_with_sign(alpha.defining, lo, hi, s_lo, multiplicity)
+        chain[k + 1] = _rising(alpha.defining, lo, hi, multiplicity)
         signs[k] = s
         if s > 0:
             return ChainCertificate(
@@ -252,7 +248,7 @@ def certify_right(p: Poly) -> ChainCertificate:
                 missing_root=_has_no_real_root(ladder[k], chain[k + 1 :]),
             )
         if s == 0:
-            chain[k] = _root_with_sign(alpha.defining, lo, hi, s_lo, multiplicity + 1)
+            chain[k] = _rising(alpha.defining, lo, hi, multiplicity + 1)
         else:
             chain[k] = _root_above(ladder[k], hi)
 

@@ -19,7 +19,7 @@ from sigmak.equations import (
     evaluate,
 )
 from sigmak.poly import Poly
-from sigmak.presets import DhymSpec, dhym, nonneg_coeff
+from sigmak.presets import dhym, nonneg_coeff
 from sigmak.realroots import refine
 from sigmak.rootchain import ChainVerdict, certify_right
 
@@ -159,13 +159,13 @@ def test_05_phase_equation_chain():
             for _ in range(50):
                 # stay a safe margin inside the branch so the tangent stays bounded
                 q = F(n - 2, 2) + F(rng.randint(2, 38), 40)
-                result = dhym(DhymSpec(n, q, F(0), 15))
+                result = dhym(n, q, F(0), 15)
                 report = certify_stable(result.equation)
                 assert report.is_strict
                 for alg, want in zip(report.certificate.chain, result.expected_chain):
                     got = float(refine(alg, F(1, 10**12)).interval.midpoint())
                     assert abs(got - want) < 1e-9, (n, str(q), got, want)
-        identity = dhym(DhymSpec(2, F(2, 3), F(0), 15))
+        identity = dhym(2, F(2, 3), F(0), 15)
         s3 = math.sqrt(3.0)
         assert abs(evaluate(identity.equation, [s3, s3])) < 1e-12
 
@@ -273,7 +273,7 @@ def test_10_midpoint_convexity_bulk():
         lower = [F(rng.randint(0, 5)) for _ in range(4)]
         lower[rng.randint(0, 3)] += 1
         nonneg_instance = nonneg_coeff(5, lower, F(rng.randint(-3, 3))).equation
-        phase_instance = dhym(DhymSpec(4, F(4, 3), F(0), 15)).equation
+        phase_instance = dhym(4, F(4, 3), F(0), 15).equation
         start = time.perf_counter()
         for instance in (EX11, nonneg_instance, phase_instance):
             report = midpoint_convexity_test(instance, 10_000, 0, mode="float")

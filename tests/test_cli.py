@@ -720,6 +720,22 @@ class TestMalformedInput:
         code, _, err = run(capsys, "certify", path, *extra)
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--digits", "abc"],
+            ["verify"],
+            ["membership", "f.json"],
+            ["alpha", "f.json", "--samples", "4"],
+            ["preset"],
+        ],
+        ids=["bad-int", "unknown-command", "missing-point", "missing-range", "bare-preset"],
+    )
+    def test_argparse_rejections_are_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_non_integer_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SIGMAK_SEED", "abc")
         path = write_json(tmp_path / "f.json", EX11)

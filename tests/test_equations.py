@@ -29,7 +29,7 @@ from sigmak.errors import (
     SamplingExhausted,
 )
 from sigmak.poly import Poly, SturmChain, sturm_chain, taylor_shift
-from sigmak.presets import DhymSpec, hessian_type, j_equation, monge_ampere, nonneg_coeff
+from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
 from sigmak.realroots import (
     AlgebraicNumber,
     IsolatingInterval,
@@ -85,12 +85,11 @@ class TestValueTypes:
                 certify_right(diagonal_restriction(EXAMPLE_12)),
                 "chain",
             ),
-            (lambda: DhymSpec(3, F(3, 4)), DhymSpec(3, F(3, 4), F(0), 6), "precision"),
             (lambda: Poly([1, 2]), Poly([1, 3]), "coeffs"),
             (lambda: SturmChain([Poly([-2, 0, 1]), Poly([0, 1])]), SturmChain([]), "chain"),
         ],
         ids=[
-            "equation", "interval", "algebraic-number", "certificate", "dhym-spec", "poly", "sturm",
+            "equation", "interval", "algebraic-number", "certificate", "poly", "sturm",
         ],
     )
     def test_immutable_and_equal_by_value(self, build, other, field):
@@ -108,7 +107,6 @@ class TestValueTypes:
         [
             SigmaKPolynomial(2, (1, 0)),
             IsolatingInterval(F(1), F(2)),
-            DhymSpec(3, F(3, 4)),
             Poly([1, 2]),
             sturm_chain(Poly([-2, 0, 1])),
             isolate_real_roots(Poly([-2, 0, 1]))[1],
@@ -116,7 +114,7 @@ class TestValueTypes:
             certify_stable(EXAMPLE_12),
         ],
         ids=[
-            "equation", "interval", "dhym-spec", "poly", "sturm", "algebraic-number",
+            "equation", "interval", "poly", "sturm", "algebraic-number",
             "certificate", "report",
         ],
     )
@@ -500,9 +498,10 @@ class TestSampling:
         with pytest.raises(NotStableEquation):
             sample_region(SigmaKPolynomial(2, (F(0), F(0))), 1, 0)
 
-    def test_exhausted_budget(self):
+    def test_exhausted_budget(self, monkeypatch):
+        monkeypatch.setattr("sigmak.equations._RETRY_FACTOR", 0)
         with pytest.raises(SamplingExhausted):
-            sample_region(EXAMPLE_11, 3, 0, retry_factor=0)
+            sample_region(EXAMPLE_11, 3, 0)
 
     @pytest.mark.parametrize("mode", ["Float", "EXACT", "numeric", ""])
     def test_unknown_mode_rejected(self, mode):

@@ -158,8 +158,8 @@ class TestBracket:
                     assert_brackets_match(alpha)
 
     def test_one_evaluation_per_irrational_root(self, monkeypatch):
-        # the grid probes are integer Horner steps; only the sign at the
-        # interval's lower end (cached on the number) goes through evaluate
+        # the grid probes are integer Horner steps; only the constructor's
+        # sign at the interval's lower end goes through evaluate
         calls = []
         original = realroots.evaluate
 
@@ -171,8 +171,8 @@ class TestBracket:
         for q in (Poly([-2, 0, 1]), Poly([20, -45, 640, -190, 0, 1])):
             for alpha in isolate_real_roots(q):
                 for d in (3, 12):
-                    fresh = AlgebraicNumber(alpha.defining, alpha.interval)
                     calls.clear()
+                    fresh = AlgebraicNumber(alpha.defining, alpha.interval)
                     bracket(fresh, d)
                     assert len(calls) <= 1
 
@@ -363,20 +363,23 @@ class TestChainKernel:
         assert seen == {"value": {-1, 0, 1}, "tangent": {-1, 1}}
 
     def test_kept_lower_end_signs(self):
-        # the sign each chain root keeps is the one bracket and refine would evaluate
+        # every chain root is built without evaluating, so check what was
+        # proved: its defining polynomial rises through it, and the public
+        # constructor, which evaluates, builds the same number
         kept = 0
         for f in corpus_equations(4, (5, 8, 12, 16)):
             for alpha in certify_right(diagonal_restriction(f)).chain:
                 if alpha is None or alpha.is_rational:
                     continue
-                assert "_sign_lo" in vars(alpha)
-                assert alpha._sign_lo == sign(evaluate(alpha.defining, alpha.interval.lo))
+                q, lo, hi = alpha.defining, alpha.interval.lo, alpha.interval.hi
+                assert sign(evaluate(q, lo)) == -1 and sign(evaluate(q, hi)) == 1
+                assert AlgebraicNumber(q, alpha.interval, alpha.multiplicity_in_source) == alpha
                 kept += 1
         assert kept > 100
 
     def test_refine_keeps_the_lower_end_sign(self, monkeypatch):
         # bracket of a refined chain root evaluates nothing, and compare with a
-        # rational inside it evaluates only there, never the sign at lo again
+        # rational inside it evaluates only there, never the sign at lo
         roots = [
             alpha
             for f in corpus_equations(6, (5, 8, 12, 16))
@@ -402,7 +405,7 @@ class TestChainKernel:
             # a refinement that lands on a rational root compares without evaluating
             assert calls == ([] if narrow.is_rational else [mid])
             refined += narrow.interval != alpha.interval
-            # a carried sign is not part of the number
+            # the constructor, which evaluates the sign at lo, builds the same number
             fresh = AlgebraicNumber(narrow.defining, narrow.interval, narrow.multiplicity_in_source)
             assert fresh == narrow and hash(fresh) == hash(narrow)
         assert refined > 100

@@ -19,7 +19,6 @@ from sigmak.errors import (
     PrecisionOutOfRange,
 )
 from sigmak.presets import (
-    DhymSpec,
     dhym,
     hessian_type,
     j_equation,
@@ -135,17 +134,17 @@ class TestPhaseParsing:
 
 class TestDhym:
     def test_right_angle(self):
-        result = dhym(DhymSpec(2, F(1, 2)))
+        result = dhym(2, F(1, 2))
         assert result.equation.c == (F(1), F(0))
         assert abs(result.expected_chain[0] - 1.0) < 1e-12
 
     def test_two_thirds_identity(self):
-        result = dhym(DhymSpec(2, F(2, 3)))
+        result = dhym(2, F(2, 3))
         s3 = math.sqrt(3)
         assert abs(evaluate(result.equation, [s3, s3])) < 1e-12
 
     def test_three_quarters_chain(self):
-        result = dhym(DhymSpec(3, F(3, 4)))
+        result = dhym(3, F(3, 4))
         expected = [1.0, math.tan(math.pi / 8), -1.0]
         for got, want in zip(result.expected_chain, expected):
             assert abs(got - want) < 1e-12
@@ -160,7 +159,7 @@ class TestDhym:
             for _ in range(4):
                 num = rng.randint(1, 39)
                 q = F(n - 2, 2) + F(num, 40)
-                result = dhym(DhymSpec(n, q, F(0), 15))
+                result = dhym(n, q, F(0), 15)
                 report = certify_stable(result.equation)
                 assert report.is_strict
                 for alg, want in zip(report.certificate.chain, result.expected_chain):
@@ -170,35 +169,35 @@ class TestDhym:
         rng = random.Random(64)
         for n in (2, 3, 4, 5):
             q = F(n - 2, 2) + F(rng.randint(1, 19), 20)
-            chain = dhym(DhymSpec(n, q)).expected_chain
+            chain = dhym(n, q).expected_chain
             assert all(a > b for a, b in zip(chain, chain[1:]))
 
     def test_mirror_phase_left_certified(self):
         for n in (2, 3, 4):
-            result = dhym(DhymSpec(n, -F(n - 1, 2)))
+            result = dhym(n, -F(n - 1, 2))
             assert result.branch == "mirror"
             assert certify_left(diagonal_restriction(result.equation)).succeeded
 
     def test_out_of_range(self):
         with pytest.raises(PhaseOutOfRange):
-            dhym(DhymSpec(3, F(1, 8)))
+            dhym(3, F(1, 8))
 
     def test_razor_thin_branch_membership(self):
-        inside = dhym(DhymSpec(3, F(3, 2) - F(1, 10**12)))
+        inside = dhym(3, F(3, 2) - F(1, 10**12))
         assert inside.branch == "supercritical"
         with pytest.raises(PhaseOutOfRange):
-            dhym(DhymSpec(3, F(1, 2)))  # exactly on the open lower endpoint
+            dhym(3, F(1, 2))  # exactly on the open lower endpoint
 
     def test_degenerate_phase(self):
         # sin(n pi/2 - theta) vanishes only at phases outside both branches
         with pytest.raises(PhaseOutOfRange):
-            dhym(DhymSpec(2, F(0)))
+            dhym(2, F(0))
 
     def test_precision_validated(self):
         for bad in (-1, -20, 2.0, F(3), "15", None, True, False):
             with pytest.raises(PrecisionOutOfRange):
-                dhym(DhymSpec(3, F(3, 4), precision=bad))
-        assert dhym(DhymSpec(3, F(3, 4), precision=0)).equation.c == (F(1), F(1), F(-1))
+                dhym(3, F(3, 4), precision=bad)
+        assert dhym(3, F(3, 4), precision=0).equation.c == (F(1), F(1), F(-1))
 
 
 def _mpmath_reference(n, q, r, digits):
@@ -240,7 +239,7 @@ class TestDhymReference:
                 for offset in (F(0), F(rng.randint(-10**6, 10**6), 10 ** rng.randint(9, 36))):
                     q = side * (F(n - 2, 2) + F(rng.randint(1, 199), 200))
                     for digits in (0, 6, 15, 40, 100):
-                        result = dhym(DhymSpec(n, q, side * offset, digits))
+                        result = dhym(n, q, side * offset, digits)
                         want = _mpmath_reference(n, q, side * offset, digits)
                         assert (result.equation.c, result.expected_chain) == want, (n, q, digits)
                         assert result.branch == ("mirror" if side < 0 < n - 1 else "supercritical")
@@ -252,7 +251,7 @@ class TestDhymReference:
         # the phase must be resolved to about 2e + digits digits
         import mpmath
 
-        result = dhym(DhymSpec(3, F(3, 2), -F(1, 10**e), digits))
+        result = dhym(3, F(3, 2), -F(1, 10**e), digits)
         with mpmath.workdps(2 * e + digits + 40):
             c0 = mpmath.nint(-mpmath.cot(mpmath.mpf(1) / 10**e) * 10**digits)
         assert result.equation.c[1] == 1
@@ -262,7 +261,7 @@ class TestDhymReference:
     def test_offset_past_the_precision_cap(self):
         # the coefficients are about 10^30000: no enclosure up to 20000 digits resolves them
         with pytest.raises(PhaseOutOfRange):
-            dhym(DhymSpec(3, F(3, 2), -F(1, 10**30000)))
+            dhym(3, F(3, 2), -F(1, 10**30000))
 
 
 class TestClosedForm:

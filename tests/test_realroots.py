@@ -5,11 +5,16 @@ import pytest
 
 import sigmak.realroots as realroots
 from sigmak.analysis import deformation
-from sigmak.equations import SigmaKPolynomial, StabilityVerdict, certify_stable, dominates
+from sigmak.equations import (
+    SigmaKPolynomial,
+    StabilityVerdict,
+    certify_stable,
+    diagonal_restriction,
+    dominates,
+)
 from sigmak.errors import ZeroPolynomial
 from sigmak.poly import Poly, SturmChain, _primitive_ints, derivative, evaluate, sturm_chain
 from sigmak.presets import (
-    DhymSpec,
     dhym,
     hessian_type,
     j_equation,
@@ -31,6 +36,7 @@ from sigmak.realroots import (
 )
 from sigmak.rationals import sign
 from sigmak.rootchain import _root_above as _root_above_ints
+from sigmak.rootchain import certify_right
 
 from _oracles import (
     bracket_by_fractions,
@@ -202,6 +208,46 @@ class TestRefine:
                 assert twice.interval.hi <= once.interval.hi
 
 
+class TestRisingThroughTheRoot:
+    """Every non-point number's defining polynomial is negative at ``lo``, positive at ``hi``."""
+
+    @staticmethod
+    def assert_rises(alpha):
+        q, lo, hi = alpha.defining, alpha.interval.lo, alpha.interval.hi
+        assert sign(evaluate(q, lo)) == -1 and sign(evaluate(q, hi)) == 1
+
+    def test_chain_refinement_and_isolation(self):
+        # the chain and its refinements are built without evaluating that sign
+        checked = 0
+        for f in corpus_equations(15, (5, 8, 12)):
+            p = diagonal_restriction(f)
+            chain = [alpha for alpha in certify_right(p).chain if alpha is not None]
+            for alpha in chain + isolate_real_roots(p) + isolate_real_roots(derivative(p)):
+                for number in (alpha, refine(alpha, F(1, 10**12))):
+                    if not number.is_rational:
+                        self.assert_rises(number)
+                        checked += 1
+        assert checked > 200
+
+    def test_constructor_negates_a_falling_polynomial(self):
+        q = Poly([F(-1, 2), 1]) * Poly([-3, 1])  # positive at 0, negative at 1
+        interval = IsolatingInterval(F(0), F(1))
+        alpha = AlgebraicNumber(q, interval)
+        assert alpha.defining == -q
+        self.assert_rises(alpha)
+        rising = AlgebraicNumber(-q, interval)
+        assert alpha == rising and hash(alpha) == hash(rising)
+        assert compare(alpha, from_rational(F(1, 2))) is Order.EQUAL
+        assert not hasattr(alpha, "__dict__")
+
+    def test_zero_at_the_lower_end_is_rejected(self):
+        q = Poly([F(-1, 2), 1]) * Poly([-3, 1])
+        with pytest.raises(ValueError):
+            AlgebraicNumber(q, IsolatingInterval(F(1, 2), F(1)))
+        # a point interval is the root itself, and no sign is taken there
+        assert AlgebraicNumber(q, IsolatingInterval(F(1, 2), F(1, 2))).rational_value == F(1, 2)
+
+
 def corpus_roots(seed, degrees):
     """The irrational chain roots of the seeded corpus, as the certifier left them."""
     chains = [certify_stable(f).certificate.chain for f in corpus_equations(seed, degrees)]
@@ -221,13 +267,13 @@ class TestQuadraticNarrowing:
         """Each yield until ``bits`` bits down holds the root, at half the last width or less."""
         q, start = alpha.defining, alpha.interval
         width = None
-        for lo, hi, s_lo in realroots._narrowing(alpha):
+        for lo, hi in realroots._narrowing(alpha):
             assert start.lo <= lo <= hi <= start.hi
             if lo == hi:
-                assert evaluate(q, lo) == 0 and s_lo == 0
+                assert evaluate(q, lo) == 0
                 return
-            # opposite signs inside the isolating interval: the root is in there
-            assert sign(evaluate(q, lo)) == s_lo == -sign(evaluate(q, hi)) != 0
+            # q rises through zero inside the isolating interval: the root is in there
+            assert sign(evaluate(q, lo)) == -1 and sign(evaluate(q, hi)) == 1
             if width is not None:
                 assert 2 * (hi - lo) <= width
             width = hi - lo
@@ -252,7 +298,7 @@ class TestQuadraticNarrowing:
         # quadratic steps double the bits they gain
         for alpha in close_pair_roots():
             steps = 0
-            for steps, (lo, hi, _) in enumerate(realroots._narrowing(alpha)):
+            for steps, (lo, hi) in enumerate(realroots._narrowing(alpha)):
                 if lo == hi or (hi - lo) * 2**300 <= alpha.interval.width:
                     break
             assert steps < 30
@@ -430,7 +476,7 @@ class TestOneZeroTest:
             j_equation(3, 2),
             hessian_type(5, 1, 2),
             nonneg_coeff(4, [1, 0, 2], 1).equation,
-            dhym(DhymSpec(3, F(3, 4))).equation,
+            dhym(3, F(3, 4)).equation,
         ]
         verdicts = [certify_stable(f).verdict for f in equations]
         x1 = largest_real_root(Poly([-1, -6, 0, 1]))
