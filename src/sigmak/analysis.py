@@ -243,8 +243,8 @@ def midpoint_convexity_test(
 ) -> MidpointReport:
     """Sample point pairs in the stable component and test every midpoint.
 
-    Convexity predicts zero failures; each midpoint must pass the component
-    criterion (equation positive plus depth-1 cone membership).
+    Convexity predicts zero failures; each midpoint, taken exactly, must pass
+    the component criterion (equation positive plus depth-1 cone membership).
     """
     report = certify_stable(f)
     if not report.is_strict:
@@ -254,7 +254,7 @@ def midpoint_convexity_test(
     examples = []
     for i in range(pairs):
         a, b = points[2 * i], points[2 * i + 1]
-        mid = tuple(u / 2 + v / 2 for u, v in zip(a, b))
+        mid = tuple((Fraction(u) + Fraction(v)) / 2 for u, v in zip(a, b))
         if not cone_membership(f, mid).in_stable_component:
             failures += 1
             if len(examples) < 5:

@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     preset = sub.add_parser("preset", help="emit a named equation as canonical JSON")
     preset.add_argument("name")
-    preset.add_argument("params", nargs="*")
+    preset.add_argument("params", nargs="*", default=[])
     preset.add_argument("--top")
     preset.add_argument("--precision", type=int)
     preset.set_defaults(func=_cmd_preset)

@@ -18,13 +18,12 @@ fast path.  Level l restricted to that subset is ``sigma_m - sum_{k<m}
 c_{l+k} sigma_k`` at the m = n - l smallest coordinates, so one ascending
 pass over the sorted coordinates serves every level: a running vector of
 symmetric functions gains one coordinate per level, and no restriction is
-built.  The exhaustive scan, asked for or forced by a float value near
-zero, evaluates every subset of a level; subsets that share a prefix of
-indices share its symmetric functions.  Both grow their vectors by the one
-recurrence of ``elementary_symmetric``, so they reproduce, bit for bit, the
-values of ``evaluate`` on the same coordinates in the same order.  A float
-point whose arithmetic leaves the float range, in a coordinate, a
-coefficient or a value, is decided in exact arithmetic instead.
+built.  Every point is read exactly, a float as the dyadic rational it is,
+and the pass runs on integers: scaled by the common denominators of the
+coordinates and of the coefficients, every level value is an integer with
+the sign of the exact value.  The exhaustive scan evaluates every subset of
+a level in ``Fraction``, sharing the symmetric functions of common index
+prefixes; it is the plain reference beside the integer pass.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .rationals import comb0
 from .realroots import Order, compare
 from .rootchain import ChainCertificate, ChainVerdict, certify_right
 
-FLOAT_MARGIN = 1e-9
 # draws ``sample_region`` may take per requested point, and once more, before it gives up
 _RETRY_FACTOR = 40
 
@@ -58,10 +56,10 @@ _RETRY_FACTOR = 40
 class SigmaKPolynomial(Value):
     """Degree n and coefficients c_0..c_{n-1} of a general inverse sigma_k equation.
 
-    Immutable, equal and hashed by value: ``certify_stable`` caches on it.
+    Immutable, equal and hashed by value, the hash taken once: ``certify_stable`` caches on it.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "_hash")
 
     def __init__(self, n: int, c: Sequence):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -73,9 +71,13 @@ class SigmaKPolynomial(Value):
             raise DimensionMismatch(f"expected {n} coefficients, got {len(c)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_hash", hash((n, c)))
 
     def _fields(self) -> tuple:
         return self.n, self.c
+
+    def __hash__(self):
+        return self._hash
 
 
 def _empty_sigmas(size: int) -> list:
@@ -178,23 +180,28 @@ class MembershipReport(NamedTuple):
         return self.member_level is not None and self.member_level <= 1
 
 
-def _is_exact_point(point: Sequence) -> bool:
-    """Whether every coordinate is an int or a Fraction.
+def _read_point(point: Sequence) -> list:
+    """Every coordinate's exact ``as_integer_ratio()``, of ``float(v)`` for another ``numbers.Real``.
 
     A bool, a coordinate that is not a ``numbers.Real`` and a non-finite
-    float raise ``InvalidPoint``; the check costs no pass of its own.
+    float raise ``InvalidPoint``.
     """
-    exact = True
+    ratios = []
     for i, v in enumerate(point):
-        if isinstance(v, (int, Fraction)):
+        # floats, ints and Fractions pass these tests at once; only another type meets the ABC test
+        if isinstance(v, float):
+            x = v
+        elif isinstance(v, (int, Fraction)):
             if not isinstance(v, bool):
+                ratios.append(v.as_integer_ratio())
                 continue
-        # a float is a numbers.Real; testing it first skips the slower ABC check
-        elif (isinstance(v, float) or isinstance(v, numbers.Real)) and math.isfinite(v):
-            exact = False
-            continue
-        raise InvalidPoint(f"coordinate {i} is {v!r:.40}, not a finite real number")
-    return exact
+            x = math.nan  # refused below
+        else:
+            x = float(v) if isinstance(v, numbers.Real) else math.nan
+        if not math.isfinite(x):
+            raise InvalidPoint(f"coordinate {i} is {v!r:.40}, not a finite real number")
+        ratios.append(x.as_integer_ratio())
+    return ratios
 
 
 def _kept_subset_values(coords: list, c: Sequence, level: int) -> list:
@@ -226,84 +233,74 @@ def cone_membership(
     point: Sequence,
     *,
     exhaustive: bool = False,
-    margin=None,
+    margin=0,
 ) -> MembershipReport:
     """Locate the deepest nested cone containing the point.
 
+    The point is read exactly, a float as ``Fraction(v)``, and so is
+    ``margin``, which widens every strict inequality to ``> margin``.
     Checks run from the top level down, in one ascending pass over the
-    sorted coordinates: level ``l`` drops the ``l`` largest ones, so the
-    symmetric functions it needs are those of the ``n - l`` smallest, and
-    one running vector gains one coordinate per level.  Level 0 evaluates
-    f at the point as given.  The exhaustive scan (``exhaustive``, or a
-    float value within ten margins of zero) minimises over every subset,
-    sharing the symmetric functions of common index prefixes.  Every value
-    comes from the one recurrence of ``elementary_symmetric``.  ``margin``
-    widens every strict inequality to ``> margin`` (defaults to 0 exactly,
-    1e-9 for a float point).  A float point whose coordinates, coefficients
-    or values leave the float range is decided in exact arithmetic, with
-    the same margin.
+    sorted coordinates: level ``l`` needs the symmetric functions of the
+    ``n - l`` smallest, so one running vector gains one coordinate per
+    level, on integers (``_scan_levels``).  The exhaustive scan also
+    minimises over every subset in plain ``Fraction`` arithmetic.
     """
     report = certify_stable(f)
     if not report.is_stable:
         raise NotStableEquation("membership is only defined for stable equations")
     if len(point) != f.n:
         raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
-    exact = _is_exact_point(point)
-    if margin is None:
-        margin = Fraction(0) if exact else FLOAT_MARGIN
-    if not exact:
-        try:
-            # a Fraction times a float is computed as the float of the Fraction times it
-            coords = [float(v) for v in point]
-            c = [float(v) for v in f.c]
-            return _scan_levels(f, coords, c, exhaustive, margin, 10 * float(margin))
-        except OverflowError:
-            pass
-    return _scan_levels(f, [Fraction(v) for v in point], f.c, exhaustive, margin, None)
+    return _scan_levels(f, _read_point(point), exhaustive, Fraction(margin))
 
 
 def _scan_levels(
-    f: SigmaKPolynomial, coords: list, c: Sequence, exhaustive: bool, margin, near
+    f: SigmaKPolynomial, ratios: list, exhaustive: bool, margin: Fraction
 ) -> MembershipReport:
-    """``cone_membership`` in the arithmetic of ``coords`` and ``c``.
+    """``cone_membership`` at the coordinates ``p / q`` of ``ratios``.
 
-    ``near`` is the float bound that forces the exhaustive scan, None in
-    exact arithmetic; a float value that is not finite raises
-    ``OverflowError``.
+    With ``X_i = D * x_i`` and ``C_k = B * c_k`` on the common denominators
+    ``D`` and ``B``, and ``E`` the running symmetric functions of the sorted
+    ``X``, the integer ``V = B * E_m - sum_{k<m} C_{l+k} * E_k * D^(m-k)`` is
+    ``B * D^m`` times the value of level ``l`` (m = n - l).
     """
     n = f.n
-    order = sorted(range(n), key=lambda i: coords[i])
-    ascending = [coords[i] for i in order]
+    d = math.lcm(*(q for _, q in ratios))
+    xs = [p * (d // q) for p, q in ratios]
+    b = math.lcm(*(c.denominator for c in f.c))
+    cs = [c.numerator * (b // c.denominator) for c in f.c]
+    order = sorted(range(n), key=xs.__getitem__)
+    coords = [Fraction(p, q) for p, q in ratios] if exhaustive else None
     running = _empty_sigmas(n)
+    scale = b  # B * D^m
 
     level_values = []
     failing_level = None
     failing_subset = None
     for level in range(n - 1, -1, -1):
-        if level == 0:
-            value = evaluate(f, coords)
-            worst = ()
+        m = n - level
+        _add_value(running, xs[order[m - 1]], m)
+        scale *= d
+        lower = 0  # sum_{k<m} C_{l+k} * E_k * D^(m-k), by Horner in D
+        for k in range(m):
+            lower = (lower + cs[level + k] * running[k]) * d
+        v = b * running[m] - lower
+        value = Fraction(v, scale)
+        worst = None  # the dropped subset of the minimum, when it is not the fast one
+        if exhaustive and level:
+            # dropped sets in lexicographic order are the complements of
+            # the kept sets in reverse lexicographic order
+            kept_values = _kept_subset_values(coords, f.c, level)
+            for dropped, kept in zip(combinations(range(n), level), reversed(kept_values)):
+                if kept < value:
+                    value = kept
+                    worst = dropped
+            holds = value > margin
         else:
-            m = n - level
-            _add_value(running, ascending[m - 1], m)
-            value = _restriction_value(running, c, level)
-            worst = tuple(sorted(order[m:]))
-            if exhaustive or (near is not None and abs(value) <= near):
-                # dropped sets in lexicographic order are the complements of
-                # the kept sets in reverse lexicographic order
-                kept_values = _kept_subset_values(coords, c, level)
-                for dropped, v in zip(combinations(range(n), level), reversed(kept_values)):
-                    if near is not None and not math.isfinite(v):
-                        raise OverflowError("a subset value left the float range")
-                    if v < value:
-                        value = v
-                        worst = dropped
-        if near is not None and not math.isfinite(value):
-            raise OverflowError("a level value left the float range")
+            holds = v * margin.denominator > margin.numerator * scale
         level_values.append((level, value))
-        if not value > margin:
+        if not holds:
             failing_level = level
-            failing_subset = worst
+            failing_subset = tuple(sorted(order[m:])) if worst is None else worst
             break
     if failing_level is None:
         member = 0

@@ -256,41 +256,41 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicNumber]:
     chain = sturm_chain(q)
     bound = cauchy_root_bound(q)
 
-    intervals: list[IsolatingInterval] = []
+    roots = []  # (lo, hi, q or -q: negative at lo unless lo == hi)
     # (lo, hi, the number of roots in the open interval (lo, hi))
     work = [(-bound, bound, chain.count(-bound, bound))]
     while work:
         lo, hi, count = work.pop()
         if count == 0:
             continue
-        if count == 1 and sign(evaluate(q, lo)) * sign(evaluate(q, hi)) < 0:
+        if count == 1 and (s_lo := sign(evaluate(q, lo))) * sign(evaluate(q, hi)) < 0:
             center = (lo + hi) / 2
             if evaluate(q, center) == 0:
                 lo = hi = center
-            intervals.append(IsolatingInterval(lo, hi))
+            roots.append((lo, hi, -q if s_lo > 0 and lo < hi else q))
             continue
         mid = (lo + hi) / 2
         left = chain.count(lo, mid)  # the roots in (lo, mid]
         if evaluate(q, mid) == 0:
-            intervals.append(IsolatingInterval(mid, mid))
+            roots.append((mid, mid, q))
             work += [(lo, mid, left - 1), (mid, hi, count - left)]
         else:
             work += [(lo, mid, left), (mid, hi, count - left)]
-    intervals.sort(key=lambda iv: iv.lo)
+    roots.sort(key=lambda root: root[0])
 
     factors = yun_decomposition(p)
     out: list[AlgebraicNumber] = []
-    for iv in intervals:
+    for lo, hi, defining in roots:
         mult = 1
         for fac, m in factors:
-            if iv.is_point:
-                hit = evaluate(fac, iv.lo) == 0
+            if lo == hi:
+                hit = evaluate(fac, lo) == 0
             else:
-                hit = sturm_chain(fac).count(iv.lo, iv.hi) == 1
+                hit = sturm_chain(fac).count(lo, hi) == 1
             if hit:
                 mult = m
                 break
-        out.append(AlgebraicNumber(q, iv, mult))
+        out.append(_rising(defining, lo, hi, mult))
     return out
 
 

@@ -41,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from sigmak.equations import (
-    FLOAT_MARGIN,
     MembershipReport,
     SigmaKPolynomial,
     StabilityVerdict,
@@ -465,24 +464,23 @@ def partial_restriction(f: SigmaKPolynomial, subset) -> SigmaKPolynomial:
 
 
 def cone_membership_by_subsets(
-    f: SigmaKPolynomial, point, *, exhaustive: bool = False, margin=None
+    f: SigmaKPolynomial, point, *, exhaustive: bool = False, margin=0
 ) -> MembershipReport:
     """Nested cone membership with every restriction value computed from scratch.
 
-    Each level builds its partial restriction and evaluates it at the
-    coordinates left after dropping the largest ones; the exhaustive scan
-    (``exhaustive``, or a float value within ten margins of zero) evaluates
-    it again at every subset, in ascending index order.
+    Every coordinate and the margin are read exactly, a float as
+    ``Fraction(v)``.  Each level builds its partial restriction and
+    evaluates it at the coordinates left after dropping the largest ones;
+    the exhaustive scan evaluates it again at every subset, in ascending
+    index order.
     """
     report = certify_stable(f)
     if not report.is_stable:
         raise NotStableEquation("membership is only defined for stable equations")
     if len(point) != f.n:
         raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
-    exact = all(isinstance(v, (int, Fraction)) for v in point)
-    if margin is None:
-        margin = Fraction(0) if exact else FLOAT_MARGIN
-    coords = [Fraction(v) for v in point] if exact else [float(v) for v in point]
+    margin = Fraction(margin)
+    coords = [Fraction(v) for v in point]
     order = sorted(range(f.n), key=lambda i: coords[i])
     ascending = [coords[i] for i in order]
 
@@ -497,10 +495,7 @@ def cone_membership_by_subsets(
             g = partial_restriction(f, level)
             value = evaluate(g, ascending[: f.n - level])
             worst = tuple(sorted(order[f.n - level :]))
-            use_exhaustive = exhaustive or (
-                not exact and abs(value) <= 10 * float(margin)
-            )
-            if use_exhaustive:
+            if exhaustive:
                 for dropped in combinations(range(f.n), level):
                     kept = [coords[i] for i in range(f.n) if i not in dropped]
                     v = evaluate(g, kept)

@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 
 from sigmak.analysis import alpha
 from sigmak.equations import (
-    FLOAT_MARGIN,
     SigmaKPolynomial,
-    _is_exact_point,
+    _read_point,
     diagonal_restriction,
     elementary_symmetric,
     evaluate as eval_equation,
@@ -36,6 +35,9 @@ from sigmak.realroots import bracket
 from sigmak.rootchain import ChainCertificate, ChainVerdict, certify_right
 
 from _oracles import TopCoefficientNotZero
+
+# the graph denominator must exceed this at a base point with a float coordinate
+FLOAT_MARGIN = 1e-9
 
 
 class DenominatorNotPositive(SigmaKError):
@@ -86,7 +88,8 @@ def graph_lambda_n(f: SigmaKPolynomial, base: Sequence):
         raise DimensionMismatch("graph form needs degree >= 2")
     if len(base) != f.n - 1:
         raise DimensionMismatch(f"base has {len(base)} coordinates, expected {f.n - 1}")
-    exact = _is_exact_point(base)
+    _read_point(base)  # refuses what cone_membership refuses
+    exact = all(isinstance(v, (int, Fraction)) for v in base)
     margin = Fraction(0) if exact else FLOAT_MARGIN
     e = elementary_symmetric(base)
     numerator = sum(f.c[k] * e[k] for k in range(f.n))

@@ -736,6 +736,12 @@ class TestMalformedInput:
         assert code == 2 and out == "" and err.startswith("error:")
         assert len(err.splitlines()) == 1
 
+    def test_bare_preset_names_only_the_name(self, capsys):
+        # the parameters may be empty, so argparse must not list them as required
+        code, out, err = run(capsys, "preset")
+        assert (code, out) == (2, "")
+        assert err == "error: the following arguments are required: name\n"
+
     def test_non_integer_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SIGMAK_SEED", "abc")
         path = write_json(tmp_path / "f.json", EX11)

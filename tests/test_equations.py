@@ -11,7 +11,6 @@ from _oracles import shift as shift_number
 from _paper import DenominatorNotPositive, graph_lambda_n, translate
 from sigmak.analysis import midpoint_convexity_test
 from sigmak.equations import (
-    FLOAT_MARGIN,
     SigmaKPolynomial,
     StabilityVerdict,
     certify_stable,
@@ -125,6 +124,15 @@ class TestValueTypes:
     )
     def test_copies_equal_the_original(self, value, how):
         assert how(value) == value
+
+    def test_equation_hash_is_kept_and_a_pickled_copy_hits_the_cache(self):
+        a = SigmaKPolynomial(5, EXAMPLE_11.c)
+        copied = pickle.loads(pickle.dumps(a))
+        assert a is not EXAMPLE_11 and hash(a) == hash(EXAMPLE_11) == hash(copied)
+        report = certify_stable(a)
+        hits = certify_stable.cache_info().hits
+        assert certify_stable(copied) is report and certify_stable(EXAMPLE_11) is report
+        assert certify_stable.cache_info().hits == hits + 2
 
 
 class TestEvaluate:
@@ -278,10 +286,11 @@ class TestMembership:
                 cone_membership(EXAMPLE_11, (bad,) + rest, exhaustive=exhaustive)
 
     def test_accepted_coordinates(self):
-        # ints, Fractions and finite floats mix; a float makes the point a float one
+        # ints, Fractions and finite floats mix; each is read exactly
         assert cone_membership(EXAMPLE_11, (12, F(13), 14, 15, 16)).member_level == 0
         mixed = cone_membership(EXAMPLE_11, (12.0, F(13), 14, 15, 16))
         assert mixed == cone_membership(EXAMPLE_11, (12.0, 13.0, 14.0, 15.0, 16.0))
+        assert mixed == cone_membership(EXAMPLE_11, (12, 13, 14, 15, 16))
 
     def test_sorted_shortcut_matches_exhaustive(self):
         rng = random.Random(46)
@@ -363,7 +372,7 @@ def _membership_points(rng, f, count):
 
 
 class TestMembershipMatchesSubsetOracle:
-    """Whole reports, float values compared by repr, so signed zeros count."""
+    """Whole reports of exact values, compared by equality and by repr."""
 
     @pytest.mark.parametrize("name", sorted(_membership_corpus()))
     def test_reports_identical(self, name):
@@ -371,7 +380,7 @@ class TestMembershipMatchesSubsetOracle:
         rng = random.Random(sum(map(ord, name)))
         for point in _membership_points(rng, f, 12):
             for exhaustive in (False, True):
-                for margin in (None, F(1, 100), 1e-3):
+                for margin in (0, F(1, 100), 1e-3):
                     got = cone_membership(f, point, exhaustive=exhaustive, margin=margin)
                     want = cone_membership_by_subsets(
                         f, point, exhaustive=exhaustive, margin=margin
@@ -380,20 +389,19 @@ class TestMembershipMatchesSubsetOracle:
                     assert repr(got) == repr(want), (point, exhaustive, margin)
 
     def test_float_near_zero_fallback(self):
-        # the top level is the smallest coordinate, since c_4 = 0: 5e-9 and
-        # 0.0 lie within ten margins of zero, so the level scans every subset
+        # the top level is the smallest coordinate, since c_4 = 0: 5e-9 is
+        # read as the dyadic rational it is, and both zeros as 0
         for low in (5e-9, 0.0, -0.0):
             point = (low, 13.0, 14.5, 12.25, 16.0)
             top = cone_membership(EXAMPLE_11, point).level_values[0][1]
-            assert abs(top) <= 10 * FLOAT_MARGIN
+            assert type(top) is F and top == F(low)
             for exhaustive in (False, True):
                 got = cone_membership(EXAMPLE_11, point, exhaustive=exhaustive)
                 want = cone_membership_by_subsets(EXAMPLE_11, point, exhaustive=exhaustive)
                 assert repr(got) == repr(want)
 
     def test_signed_zero_matches(self):
-        # a zero coordinate makes the running products 0 with a sign that
-        # depends on the subset; the values keep the per-subset sign
+        # signed zeros in every position: both read as 0, and the reports agree exactly
         f = SigmaKPolynomial(3, (F(1), F(0), F(0)))
         for point in ((0.0, -0.0, 3.0), (0.0, 3.0, -0.0), (-1.0, 0.0, 5.0), (0.0, -0.0, -0.0)):
             for exhaustive in (False, True):
@@ -402,18 +410,38 @@ class TestMembershipMatchesSubsetOracle:
                 assert repr(got) == repr(want)
 
     def test_underflowing_products_match(self):
-        # products of these coordinates underflow to +-0.0 in some orders and
-        # not in others; every value keeps the sign that evaluate gives it
+        # coordinates whose float products underflow: read exactly, nothing
+        # does, and the reports agree exactly
         f = SigmaKPolynomial(3, (F(1), F(0), F(0)))
         values = (1e-200, -1e-200, 0.0, -0.0, 5e-324, 3.0, -2.5)
         for point in itertools.product(values, repeat=3):
-            for margin in (None, -1.0):
+            for margin in (0, -1.0):
                 for exhaustive in (False, True):
                     got = cone_membership(f, point, exhaustive=exhaustive, margin=margin)
                     want = cone_membership_by_subsets(
                         f, point, exhaustive=exhaustive, margin=margin
                     )
                     assert repr(got) == repr(want), (point, exhaustive, margin)
+
+    @pytest.mark.parametrize("name", sorted(_membership_corpus()))
+    def test_float_point_reads_as_its_fractions(self, name):
+        f = _membership_corpus()[name]
+        rng = random.Random(sum(map(ord, name)))
+        for point in _membership_points(rng, f, 12):
+            if isinstance(point[0], float):
+                for exhaustive in (False, True):
+                    got = cone_membership(f, point, exhaustive=exhaustive)
+                    want = cone_membership(f, tuple(map(F, point)), exhaustive=exhaustive)
+                    assert repr(got) == repr(want), (point, exhaustive)
+
+    def test_float_point_just_inside_the_boundary(self):
+        # f = x*y - 1 is 2^-40 at this point, within 1e-9 of the boundary:
+        # the float point lies inside, like its exact image
+        point = (1.0, 1.0 + 2**-40)
+        report = cone_membership(MONGE_2, point)
+        assert report.member_level == 0
+        assert report == cone_membership(MONGE_2, tuple(map(F, point)))
+        assert report.level_values[-1] == (0, F(1, 2**40))
 
 
 class TestDominance:
@@ -565,8 +593,8 @@ class TestMembershipFloatMode:
         assert report.level_values[1][1] == 2 - F(10**1600)
 
     def test_margin_rejects_boundary_point(self):
-        # (1, 1) sits exactly on the product-equation level set: exact mode
-        # rejects level 0 (value is 0, not > 0), float mode likewise via margin
+        # (1, 1) sits exactly on the product-equation level set: level 0 is
+        # rejected (value is 0, not > 0), for the float point read exactly too
         exact = cone_membership(MONGE_2, [F(1), F(1)])
         floaty = cone_membership(MONGE_2, [1.0, 1.0])
         assert exact.member_level == 1
