@@ -20,8 +20,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .equations import (
     SigmaKPolynomial,
+    _check_count,
+    _in_component,
+    _on_grid,
     certify_stable,
-    cone_membership,
     sample_region,
 )
 from .errors import (
@@ -245,20 +247,26 @@ def midpoint_convexity_test(
 
     Convexity predicts zero failures; each midpoint, taken exactly, must pass
     the component criterion (equation positive plus depth-1 cone membership).
+    ``pairs`` must be a non-negative ``int``, not a bool (``ValueError``),
+    checked before any point is drawn.  The midpoint of ``a`` and ``b`` is
+    decided on integers: with ``D`` the common denominator of both points'
+    coordinates, it is ``(D a_i + D b_i) / 2D``, and it becomes
+    ``Fraction``s only as a failure example.
     """
     report = certify_stable(f)
     if not report.is_strict:
         raise NotStableEquation("midpoint test needs a strictly stable equation")
+    _check_count("pairs", pairs)
     points = sample_region(f, 2 * pairs, seed, mode=mode)
     failures = 0
     examples = []
     for i in range(pairs):
-        a, b = points[2 * i], points[2 * i + 1]
-        mid = tuple((Fraction(u) + Fraction(v)) / 2 for u, v in zip(a, b))
-        if not cone_membership(f, mid).in_stable_component:
+        xs, d = _on_grid([v.as_integer_ratio() for v in points[2 * i] + points[2 * i + 1]])
+        sums = [x + y for x, y in zip(xs, xs[f.n:])]
+        if not _in_component(f, sums, 2 * d):
             failures += 1
             if len(examples) < 5:
-                examples.append(mid)
+                examples.append(tuple(Fraction(x, 2 * d) for x in sums))
     label = "numeric (non-certificate)" if mode == "float" else "exact"
     return MidpointReport(pairs, failures, tuple(examples), label)
 

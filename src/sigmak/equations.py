@@ -23,7 +23,10 @@ and the pass runs on integers: scaled by the common denominators of the
 coordinates and of the coefficients, every level value is an integer with
 the sign of the exact value.  The exhaustive scan evaluates every subset of
 a level in ``Fraction``, sharing the symmetric functions of common index
-prefixes; it is the plain reference beside the integer pass.
+prefixes; it is the plain reference beside the integer pass.  Sampled draws
+and midpoints are decided on integers too: ``sample_region`` builds every
+draw on one integer grid and the midpoint test sums integer ratios, and
+both read only the signs of the integer pass's level values.
 """
 
 from __future__ import annotations
@@ -57,9 +60,12 @@ class SigmaKPolynomial(Value):
     """Degree n and coefficients c_0..c_{n-1} of a general inverse sigma_k equation.
 
     Immutable, equal and hashed by value, the hash taken once: ``certify_stable`` caches on it.
+    ``_b`` and ``_cs`` keep the coefficients on their common denominator
+    ``B`` (``C_k = B * c_k``) for the integer level scan; like the hash
+    they stay out of ``_fields``.
     """
 
-    __slots__ = ("n", "c", "_hash")
+    __slots__ = ("n", "c", "_hash", "_b", "_cs")
 
     def __init__(self, n: int, c: Sequence):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -72,6 +78,9 @@ class SigmaKPolynomial(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_hash", hash((n, c)))
+        b = math.lcm(*(v.denominator for v in c))
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_cs", tuple(v.numerator * (b // v.denominator) for v in c))
 
     def _fields(self) -> tuple:
         return self.n, self.c
@@ -228,6 +237,12 @@ def _kept_subset_values(coords: list, c: Sequence, level: int) -> list:
     return out
 
 
+def _on_grid(ratios: list) -> tuple[list, int]:
+    """The integers ``X_i = D * p_i / q_i`` on the common denominator ``D`` of the ratios, and ``D``."""
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
 def cone_membership(
     f: SigmaKPolynomial,
     point: Sequence,
@@ -250,40 +265,18 @@ def cone_membership(
         raise NotStableEquation("membership is only defined for stable equations")
     if len(point) != f.n:
         raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
-    return _scan_levels(f, _read_point(point), exhaustive, Fraction(margin))
-
-
-def _scan_levels(
-    f: SigmaKPolynomial, ratios: list, exhaustive: bool, margin: Fraction
-) -> MembershipReport:
-    """``cone_membership`` at the coordinates ``p / q`` of ``ratios``.
-
-    With ``X_i = D * x_i`` and ``C_k = B * c_k`` on the common denominators
-    ``D`` and ``B``, and ``E`` the running symmetric functions of the sorted
-    ``X``, the integer ``V = B * E_m - sum_{k<m} C_{l+k} * E_k * D^(m-k)`` is
-    ``B * D^m`` times the value of level ``l`` (m = n - l).
-    """
     n = f.n
-    d = math.lcm(*(q for _, q in ratios))
-    xs = [p * (d // q) for p, q in ratios]
-    b = math.lcm(*(c.denominator for c in f.c))
-    cs = [c.numerator * (b // c.denominator) for c in f.c]
+    ratios = _read_point(point)
+    xs, d = _on_grid(ratios)
+    margin = Fraction(margin)
     order = sorted(range(n), key=xs.__getitem__)
     coords = [Fraction(p, q) for p, q in ratios] if exhaustive else None
-    running = _empty_sigmas(n)
-    scale = b  # B * D^m
 
     level_values = []
     failing_level = None
     failing_subset = None
-    for level in range(n - 1, -1, -1):
-        m = n - level
-        _add_value(running, xs[order[m - 1]], m)
-        scale *= d
-        lower = 0  # sum_{k<m} C_{l+k} * E_k * D^(m-k), by Horner in D
-        for k in range(m):
-            lower = (lower + cs[level + k] * running[k]) * d
-        v = b * running[m] - lower
+    scan = _scan_levels(f, [xs[i] for i in order], d)
+    for level, (v, scale) in zip(range(n - 1, -1, -1), scan):
         value = Fraction(v, scale)
         worst = None  # the dropped subset of the minimum, when it is not the fast one
         if exhaustive and level:
@@ -300,7 +293,7 @@ def _scan_levels(
         level_values.append((level, value))
         if not holds:
             failing_level = level
-            failing_subset = tuple(sorted(order[m:])) if worst is None else worst
+            failing_subset = tuple(sorted(order[n - level:])) if worst is None else worst
             break
     if failing_level is None:
         member = 0
@@ -314,6 +307,36 @@ def _scan_levels(
         failing_subset=failing_subset,
         level_values=tuple(level_values),
     )
+
+
+def _scan_levels(f: SigmaKPolynomial, xs: list, d: int):
+    """Each level's integer ``V`` and its scale ``B * D^m``, from level ``n - 1`` down to 0.
+
+    ``xs`` are the coordinates ``X_i = D * x_i`` in ascending order and
+    ``B``, ``C_k`` the equation's coefficients on their common denominator.
+    With ``E`` the running symmetric functions of the ``m = n - l``
+    smallest ``X``, ``V = B * E_m - sum_{k<m} C_{l+k} * E_k * D^(m-k)`` is
+    ``B * D^m`` times the value of level ``l``, so it has that value's sign.
+    """
+    n, b, cs = f.n, f._b, f._cs
+    running = _empty_sigmas(n)
+    scale = b
+    for m in range(1, n + 1):
+        level = n - m
+        _add_value(running, xs[m - 1], m)
+        scale *= d
+        lower = 0  # sum_{k<m} C_{l+k} * E_k * D^(m-k), by Horner in D
+        for k in range(m):
+            lower = (lower + cs[level + k] * running[k]) * d
+        yield b * running[m] - lower, scale
+
+
+def _in_component(f: SigmaKPolynomial, xs: list, d: int) -> bool:
+    """Whether the point ``X_i / D`` lies in the stable component: every level value is positive."""
+    for v, _ in _scan_levels(f, sorted(xs), d):
+        if v <= 0:
+            return False
+    return True
 
 
 class DominanceReport(NamedTuple):
@@ -341,8 +364,17 @@ def dominates(g: SigmaKPolynomial, f: SigmaKPolynomial) -> DominanceReport:
     return DominanceReport(ok, comparisons)
 
 
-def _dyadic(u: float, bits: int = 24) -> Fraction:
-    return Fraction(round(u * (1 << bits)), 1 << bits)
+# draws are rounded to this many bits before they scale the spread
+_DRAW_BITS = 24
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` that names the argument ``name`` unless ``value`` is a non-negative ``int``.
+
+    A bool is not one.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r:.40}")
 
 
 def sample_region(
@@ -358,18 +390,28 @@ def sample_region(
     nonnegative jitter per coordinate, re-verified through the membership
     criterion; failed draws are retried within a bounded budget.  ``mode``
     is ``"exact"`` for ``Fraction`` points or ``"float"`` for float ones.
+    ``count`` must be a non-negative ``int``, not a bool (``ValueError``).
+    Every draw lies on one integer grid ``X_i / D``: base and jitter are
+    24-bit dyadic multiples of the spread above the bracket end ``x0_hi``,
+    so ``D = lcm(den(x0_hi), den(spread) * 2^24)``.  An exact draw is
+    decided on its integers, a float draw on the integers of the floats
+    ``X_i / D``, and only an accepted draw becomes a tuple.
     """
     report = certify_stable(f)
     if not report.is_strict:
         raise NotStableEquation("sampling needs a strictly stable equation")
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_count("count", count)
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if count == 0:
         return []
     x0_hi = report.certificate.x0_bracket[1]
     spread = x0_hi + 1 if x0_hi + 1 > 0 else Fraction(1)
+    grid = spread.denominator << _DRAW_BITS
+    d = math.lcm(x0_hi.denominator, grid)
+    low = x0_hi.numerator * (d // x0_hi.denominator)
+    step = spread.numerator * (d // grid)
+    unit = float(1 << _DRAW_BITS)
     rng = random.Random(seed)
     out: list[tuple] = []
     budget = _RETRY_FACTOR * (count + 1)
@@ -380,11 +422,12 @@ def sample_region(
                 f"gave up after {attempts} draws for {count} points"
             )
         attempts += 1
-        base = x0_hi + _dyadic(rng.random()) * spread
-        coords = tuple(base + _dyadic(rng.random()) * spread for _ in range(f.n))
+        base = low + round(rng.random() * unit) * step
+        xs = [base + round(rng.random() * unit) * step for _ in range(f.n)]
         if mode == "float":
-            coords = tuple(float(v) for v in coords)
-        membership = cone_membership(f, coords)
-        if membership.in_stable_component:
-            out.append(coords)
+            point = tuple(x / d for x in xs)
+            if _in_component(f, *_on_grid([v.as_integer_ratio() for v in point])):
+                out.append(point)
+        elif _in_component(f, xs, d):
+            out.append(tuple(Fraction(x, d) for x in xs))
     return out

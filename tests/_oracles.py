@@ -8,14 +8,19 @@ every derivative with Sturm chains and keeping the largest, where
 ``sigmak.rootchain`` runs one monotone sign test per level.  The membership
 oracle builds one partial restriction per level and evaluates it afresh at
 every coordinate subset it checks, where ``sigmak.equations`` shares the
-symmetric functions across levels and subsets.  The rounding and
-remainder oracles (``bracket_by_fractions``, ``remainder_sequence_by_division``,
-``gcd_by_division``) bisect and divide in ``Fraction`` arithmetic, where
-``sigmak`` works on integer forms and narrows by quadratic steps.  The
-closed-form oracle ``closed_form_criterion`` decides degrees 2 to 4 by the
-paper's explicit inequalities, with an mpmath bracket of the depressed
-cubic's largest root certified against the cubic, and shares no chain code
-with ``sigmak.rootchain``.  ``certify_left`` (the right chain of ``p(-x)``),
+symmetric functions across levels and subsets.
+``sample_region_by_fractions`` builds each sampled coordinate in
+``Fraction`` arithmetic and decides it with that oracle, where
+``sample_region`` draws on one integer grid.  The rounding oracle
+``bracket_by_fractions`` bisects the decimal grid, reading each sign from
+the homogeneous integer form with its own Horner loop, and the remainder
+oracles (``remainder_sequence_by_division``, ``gcd_by_division``) divide in
+``Fraction`` arithmetic, where ``sigmak`` narrows by quadratic steps and
+works on primitive integer forms.  The closed-form oracle
+``closed_form_criterion`` decides degrees 2 to 4 by the paper's explicit
+inequalities, with an mpmath bracket of the depressed cubic's largest root
+certified against the cubic, and shares no chain code with
+``sigmak.rootchain``.  ``certify_left`` (the right chain of ``p(-x)``),
 ``is_real_rooted``, ``multiplicity_at_largest_root`` and
 ``count_real_roots_with_multiplicity`` wrap the Sturm API and the right
 chain for the tests that need them, and ``mirror``, ``negate`` and
@@ -65,7 +70,6 @@ from sigmak.poly import (
     taylor_shift,
     yun_decomposition,
 )
-from sigmak.poly import evaluate as poly_evaluate
 from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
 from sigmak.rationals import sign
 from sigmak.realroots import (
@@ -342,18 +346,45 @@ def _bareiss_determinant(m: list[list[Fraction]]) -> Fraction:
     return Fraction(sign_fix * rows[size - 1][size - 1], scale)
 
 
+def _homogeneous_weights(p: Poly, den: int) -> list[int]:
+    """``c_j * den^(n-j)``, top first, with ``c_j`` the coefficients of ``p`` over their lcd.
+
+    Horner over these weights at ``num`` gives ``sum_j c_j num^j den^(n-j)``,
+    which is ``lcd * den^n * p(num / den)``: the sign of ``p`` at ``num / den``.
+    """
+    lcd = math.lcm(*(c.denominator for c in p.coeffs))
+    n = len(p.coeffs) - 1
+    return [
+        c.numerator * (lcd // c.denominator) * den ** (n - j)
+        for j, c in reversed(list(enumerate(p.coeffs)))
+    ]
+
+
+def _homogeneous_sign(weights: list[int], num: int) -> int:
+    value = 0
+    for w in weights:
+        value = value * num + w
+    return (value > 0) - (value < 0)
+
+
 def bracket_by_fractions(alpha: AlgebraicNumber, digits: int) -> tuple[Fraction, Fraction]:
-    """Decimal bracket of ``alpha`` by bisecting at ``Fraction`` grid points."""
+    """Decimal bracket of ``alpha`` by bisecting the grid points ``k / 10^digits``.
+
+    Each sign is read from the homogeneous integer form
+    ``sum_j c_j k^j 10^(digits (n-j))`` of the defining polynomial.
+    """
     scale = 10**digits
     if alpha.is_rational:
         value = alpha.rational_value * scale
         return Fraction(math.floor(value), scale), Fraction(math.ceil(value), scale)
     a = math.floor(alpha.interval.lo * scale) + 1
     b = math.ceil(alpha.interval.hi * scale) - 1
-    sign_lo = sign(poly_evaluate(alpha.defining, alpha.interval.lo))
+    lo = Fraction(alpha.interval.lo)
+    sign_lo = _homogeneous_sign(_homogeneous_weights(alpha.defining, lo.denominator), lo.numerator)
+    grid = _homogeneous_weights(alpha.defining, scale)
     while a <= b:
         k = (a + b) // 2
-        s = sign(poly_evaluate(alpha.defining, Fraction(k, scale)))
+        s = _homogeneous_sign(grid, k)
         if s == 0:
             return Fraction(k, scale), Fraction(k, scale)
         if s == sign_lo:
@@ -519,6 +550,38 @@ def cone_membership_by_subsets(
         failing_subset=failing_subset,
         level_values=tuple(level_values),
     )
+
+
+def sample_region_by_fractions(
+    f: SigmaKPolynomial, count: int, seed: int, *, mode: str = "exact"
+) -> list[tuple]:
+    """``sample_region``'s points, each coordinate built as a ``Fraction``.
+
+    A draw takes a base ``x0_hi + t_0 * spread`` and the coordinates
+    ``base + t_i * spread``, every ``t`` a ``random.Random(seed)`` draw
+    rounded to 24 bits, in ``Fraction`` arithmetic.  A float point is the
+    ``float`` of each coordinate.  ``cone_membership_by_subsets`` decides
+    each draw; the kept ones are returned in order.
+    """
+    x0_hi = certify_stable(f).certificate.x0_bracket[1]
+    spread = x0_hi + 1 if x0_hi + 1 > 0 else Fraction(1)
+    rng = random.Random(seed)
+
+    def jitter() -> Fraction:
+        return Fraction(round(rng.random() * 2**24), 2**24) * spread
+
+    out = []
+    for _ in range(40 * (count + 1)):
+        if len(out) == count:
+            break
+        base = x0_hi + jitter()
+        coords = tuple(base + jitter() for _ in range(f.n))
+        if mode == "float":
+            coords = tuple(float(v) for v in coords)
+        if cone_membership_by_subsets(f, coords).in_stable_component:
+            out.append(coords)
+    assert len(out) == count, f"{len(out)} of {count} points in {40 * (count + 1)} draws"
+    return out
 
 
 # -- real-rootedness and the left chain ---------------------------------------

@@ -6,13 +6,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from _oracles import BadSubsetSize, cone_membership_by_subsets, partial_restriction
+from _oracles import (
+    BadSubsetSize,
+    cone_membership_by_subsets,
+    partial_restriction,
+    sample_region_by_fractions,
+)
 from _oracles import shift as shift_number
 from _paper import DenominatorNotPositive, graph_lambda_n, translate
 from sigmak.analysis import midpoint_convexity_test
 from sigmak.equations import (
     SigmaKPolynomial,
     StabilityVerdict,
+    _in_component,
+    _on_grid,
+    _read_point,
     certify_stable,
     cone_membership,
     diagonal_restriction,
@@ -133,6 +141,16 @@ class TestValueTypes:
         hits = certify_stable.cache_info().hits
         assert certify_stable(copied) is report and certify_stable(EXAMPLE_11) is report
         assert certify_stable.cache_info().hits == hits + 2
+
+    def test_scaled_coefficients_stay_out_of_the_value(self):
+        f = SigmaKPolynomial(3, (F(1, 2), F(-2, 3), F(5)))
+        assert (f._b, f._cs) == (6, (3, -4, 30))
+        stale = copy.copy(f)
+        object.__setattr__(stale, "_cs", (0, 0, 0))
+        assert stale == f and hash(stale) == hash(f) and repr(stale) == repr(f)
+        assert stale.__reduce__() == (SigmaKPolynomial, (3, f.c))
+        for rebuilt in (copy.copy(stale), copy.deepcopy(stale), pickle.loads(pickle.dumps(stale))):
+            assert (rebuilt._b, rebuilt._cs) == (6, (3, -4, 30))
 
 
 class TestEvaluate:
@@ -434,6 +452,20 @@ class TestMembershipMatchesSubsetOracle:
                     want = cone_membership(f, tuple(map(F, point)), exhaustive=exhaustive)
                     assert repr(got) == repr(want), (point, exhaustive)
 
+    @pytest.mark.parametrize("name", sorted(_membership_corpus()))
+    def test_component_test_reads_the_level_signs(self, name):
+        f = _membership_corpus()[name]
+        points = _membership_points(random.Random(sum(map(ord, name)) + 1), f, 20)
+        # each point also raised well above the top root, where most lie inside
+        up = 3 * int(2 + abs(float(certify_stable(f).certificate.chain[0])))
+        points += [tuple(v + up for v in point) for point in points]
+        seen = set()
+        for point in points:
+            want = cone_membership_by_subsets(f, point).in_stable_component
+            assert _in_component(f, *_on_grid(_read_point(point))) == want, point
+            seen.add(want)
+        assert seen == {False, True}
+
     def test_float_point_just_inside_the_boundary(self):
         # f = x*y - 1 is 2^-40 at this point, within 1e-9 of the boundary:
         # the float point lies inside, like its exact image
@@ -548,6 +580,81 @@ class TestSampling:
         assert all(isinstance(v, float) for p in points for v in p)
         for p in points:
             assert cone_membership(EXAMPLE_11, p).member_level == 0
+
+
+GRID_CASES = {
+    "EX11": EXAMPLE_11,
+    "EX12": EXAMPLE_12,
+    "monge-ampere": monge_ampere(5, 7),
+    "nonneg-8": nonneg_coeff(8, [F(k % 3 + 1, 2) for k in range(7)], 1).equation,
+    # top root -2, so the spread is 1
+    "spread-one": SigmaKPolynomial(2, (F(-6), F(-5, 2))),
+    # top root 6e307: float draws come near the largest float
+    "near-float-limit": SigmaKPolynomial(3, (F(0), F(0), F("2e307"))),
+}
+
+
+def _types(points):
+    return [(type(p), tuple(map(type, p))) for p in points]
+
+
+class TestSamplingGrid:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("name", sorted(GRID_CASES))
+    def test_points_equal_the_fraction_reference(self, name, mode):
+        f = GRID_CASES[name]
+        for seed in (0, 1, 7, 2**31 - 1):
+            got = sample_region(f, 6, seed, mode=mode)
+            want = sample_region_by_fractions(f, 6, seed, mode=mode)
+            assert got == want and _types(got) == _types(want), (seed, got, want)
+
+    def test_cases_reach_their_branches(self):
+        assert certify_stable(GRID_CASES["spread-one"]).certificate.x0_bracket == (-2, -2)
+        points = sample_region(GRID_CASES["near-float-limit"], 20, 0, mode="float")
+        assert max(max(p) for p in points) > 1.5e308
+
+    def test_overflowing_float_draw_raises_like_the_reference(self):
+        # top root 1e308: most draws lie beyond the largest float
+        f = SigmaKPolynomial(2, (F(0), F("5e307")))
+        with pytest.raises(OverflowError) as got:
+            sample_region(f, 4, 0, mode="float")
+        with pytest.raises(OverflowError) as want:
+            sample_region_by_fractions(f, 4, 0, mode="float")
+        assert str(got.value) == str(want.value)
+        assert sample_region(f, 4, 0) == sample_region_by_fractions(f, 4, 0)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_midpoints_are_exact(self, monkeypatch, mode):
+        points = sample_region(EXAMPLE_11, 6, 5, mode=mode)
+        want = tuple(
+            tuple((F(u) + F(v)) / 2 for u, v in zip(points[2 * i], points[2 * i + 1]))
+            for i in range(3)
+        )
+        decided = []
+
+        def in_component(f, xs, d):
+            mid = tuple(F(x, d) for x in xs)
+            decided.append(mid)
+            assert _in_component(f, xs, d) == cone_membership_by_subsets(f, mid).in_stable_component
+            return False
+
+        monkeypatch.setattr("sigmak.analysis._in_component", in_component)
+        report = midpoint_convexity_test(EXAMPLE_11, 3, 5, mode=mode)
+        assert tuple(decided) == want
+        assert report.failures == 3 and report.failure_examples == want
+        assert all(type(v) is F for mid in report.failure_examples for v in mid)
+
+    @pytest.mark.parametrize("count", [2.5, True, False, -1, "3", None, F(2)])
+    def test_count_and_pairs_must_be_non_negative_ints(self, monkeypatch, count):
+        with pytest.raises(ValueError, match="^count "):
+            sample_region(EXAMPLE_11, count, 0)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled before checking pairs")
+
+        monkeypatch.setattr("sigmak.analysis.sample_region", unreachable)
+        with pytest.raises(ValueError, match="^pairs "):
+            midpoint_convexity_test(EXAMPLE_11, count, 0)
 
 
 class TestMembershipFloatMode:
