@@ -22,7 +22,6 @@ from .equations import (
     SigmaKPolynomial,
     _check_count,
     _in_component,
-    _on_grid,
     certify_stable,
     sample_region,
 )
@@ -30,6 +29,7 @@ from .errors import (
     EmptySampleRange, NotCertified, NotStableEquation, OutOfDeformationRange, SigmaKError
 )
 from .poly import Poly, _primitive_ints, _value, derivative, evaluate, taylor_shift
+from .rationals import on_common_denominator
 from .realroots import Order, bracket, compare, from_rational
 from .rootchain import ChainCertificate, certify_right
 
@@ -261,7 +261,8 @@ def midpoint_convexity_test(
     failures = 0
     examples = []
     for i in range(pairs):
-        xs, d = _on_grid([v.as_integer_ratio() for v in points[2 * i] + points[2 * i + 1]])
+        pair = points[2 * i] + points[2 * i + 1]
+        xs, d = on_common_denominator([v.as_integer_ratio() for v in pair])
         sums = [x + y for x, y in zip(xs, xs[f.n:])]
         if not _in_component(f, sums, 2 * d):
             failures += 1

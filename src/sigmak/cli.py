@@ -245,7 +245,7 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction]:
 def _emit_rows(args, extras: dict, header: str, rows) -> None:
     """Round exact rows once into ``--csv`` (undefined: an empty cell) or ``rows`` (null)."""
     rows = [[format_significant(v) for v in row] for row in rows]
-    if args.csv:
+    if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8") as handle:
                 handle.write(header + "\n")
@@ -306,21 +306,21 @@ def _parse_grid(text: str) -> list[Fraction]:
 def _parse_deform(args):
     from . import analysis
 
-    if args.poly:
+    if (args.poly is None) == (args.input is None):
+        raise UsageError("deform needs exactly one of an input file and --poly")
+    if args.poly is not None:
         coeffs = [_rational(part, "polynomial") for part in args.poly.split(",")]
         target = Poly(coeffs)
         if target.degree < 1:
             raise UsageError("--poly needs a polynomial of degree at least 1")
         input_obj = {"poly": [format_rational(c) for c in coeffs]}
     else:
-        if not args.input:
-            raise UsageError("deform needs an input file or --poly")
         equation = _read_equation(args.input)
         target = diagonal_restriction(equation)
         input_obj = _equation_json(equation)
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
-    grid = _parse_grid(args.y_grid) if args.y_grid else None
+    grid = None if args.y_grid is None else _parse_grid(args.y_grid)
     if grid is not None and len(set(grid)) < len(grid):
         # a repeated curve would be compared with itself in the descent check
         raise UsageError("--y-grid values must be distinct")
@@ -329,7 +329,7 @@ def _parse_deform(args):
         raise UsageError(
             f"--samples times the {curves} grid curves must be at most {MAX_SAMPLES}"
         )
-    x_max = _rational(args.x_max, "--x-max") if args.x_max else None
+    x_max = None if args.x_max is None else _rational(args.x_max, "--x-max")
     return input_obj, (target, grid, x_max)
 
 

@@ -48,7 +48,7 @@ from .errors import (
     SamplingExhausted,
 )
 from .poly import Poly
-from .rationals import comb0
+from .rationals import comb0, on_common_denominator
 from .realroots import Order, compare
 from .rootchain import ChainCertificate, ChainVerdict, certify_right
 
@@ -78,9 +78,9 @@ class SigmaKPolynomial(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_hash", hash((n, c)))
-        b = math.lcm(*(v.denominator for v in c))
+        cs, b = on_common_denominator([v.as_integer_ratio() for v in c])
         object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_cs", tuple(v.numerator * (b // v.denominator) for v in c))
+        object.__setattr__(self, "_cs", tuple(cs))
 
     def _fields(self) -> tuple:
         return self.n, self.c
@@ -237,12 +237,6 @@ def _kept_subset_values(coords: list, c: Sequence, level: int) -> list:
     return out
 
 
-def _on_grid(ratios: list) -> tuple[list, int]:
-    """The integers ``X_i = D * p_i / q_i`` on the common denominator ``D`` of the ratios, and ``D``."""
-    d = math.lcm(*(q for _, q in ratios))
-    return [p * (d // q) for p, q in ratios], d
-
-
 def cone_membership(
     f: SigmaKPolynomial,
     point: Sequence,
@@ -267,7 +261,7 @@ def cone_membership(
         raise DimensionMismatch(f"point has {len(point)} coordinates, equation has {f.n}")
     n = f.n
     ratios = _read_point(point)
-    xs, d = _on_grid(ratios)
+    xs, d = on_common_denominator(ratios)
     margin = Fraction(margin)
     order = sorted(range(n), key=xs.__getitem__)
     coords = [Fraction(p, q) for p, q in ratios] if exhaustive else None
@@ -407,10 +401,8 @@ def sample_region(
         return []
     x0_hi = report.certificate.x0_bracket[1]
     spread = x0_hi + 1 if x0_hi + 1 > 0 else Fraction(1)
-    grid = spread.denominator << _DRAW_BITS
-    d = math.lcm(x0_hi.denominator, grid)
-    low = x0_hi.numerator * (d // x0_hi.denominator)
-    step = spread.numerator * (d // grid)
+    draw_step = (spread.numerator, spread.denominator << _DRAW_BITS)
+    (low, step), d = on_common_denominator([x0_hi.as_integer_ratio(), draw_step])
     unit = float(1 << _DRAW_BITS)
     rng = random.Random(seed)
     out: list[tuple] = []
@@ -426,7 +418,7 @@ def sample_region(
         xs = [base + round(rng.random() * unit) * step for _ in range(f.n)]
         if mode == "float":
             point = tuple(x / d for x in xs)
-            if _in_component(f, *_on_grid([v.as_integer_ratio() for v in point])):
+            if _in_component(f, *on_common_denominator([v.as_integer_ratio() for v in point])):
                 out.append(point)
         elif _in_component(f, xs, d):
             out.append(tuple(Fraction(x, d) for x in xs))

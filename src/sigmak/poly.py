@@ -3,10 +3,10 @@
 Dense polynomials over the rationals with everything the certificate path
 needs: arithmetic, derivatives, Taylor shifts, gcd and squarefree machinery
 and Sturm chains.  All arithmetic is exact; no operation in this module
-ever rounds.  Gcds and remainder sequences run on integer forms, positive
-multiples of the rational ones.  The resultant and discriminant are proof
-devices of the paper, not steps of the decision; they live with the test
-oracles.
+ever rounds.  Gcds and Sturm chains run on one integer remainder chain of
+positive multiples of the rational polynomials.  The resultant and
+discriminant are proof devices of the paper, not steps of the decision;
+they live with the test oracles.
 
 Coefficients are stored ascending, ``coeffs[k]`` multiplying ``x**k``.  The
 zero polynomial has an empty coefficient tuple and degree ``-inf``.
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from ._value import Value
 from .errors import ZeroPolynomial
-from .rationals import sign
+from .rationals import on_common_denominator, sign
 
 NEG_INF = float("-inf")
 
@@ -235,15 +235,9 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _clear_denominators(p: Poly) -> tuple[list[int], int]:
-    """Integer coefficients of ``den * p`` for the least positive ``den`` making them integral."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
 def _primitive_ints(p: Poly) -> list[int]:
     """Coefficients of ``p`` scaled by a positive rational to coprime integers."""
-    ints, _ = _clear_denominators(p)
+    ints, _ = on_common_denominator([c.as_integer_ratio() for c in p.coeffs])
     g = math.gcd(*ints)
     return [v // g for v in ints]
 
@@ -278,26 +272,11 @@ class SturmChain(Value):
         signs = [sign(evaluate(q, x)) for q in self.chain]
         return _count_variations(signs)
 
-    def variations_at_infinity(self, positive: bool) -> int:
-        signs = []
-        for q in self.chain:
-            if q.is_zero:
-                signs.append(0)
-            elif positive:
-                signs.append(sign(q.lc))
-            else:
-                signs.append(sign(q.lc) * (-1 if q.degree % 2 else 1))
-        return _count_variations(signs)
-
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct real roots in ``(lo, hi]``."""
         if lo > hi:
             raise ValueError("empty interval")
         return self.variations(lo) - self.variations(hi)
-
-    def count_all(self) -> int:
-        """Distinct real roots on the whole line."""
-        return self.variations_at_infinity(False) - self.variations_at_infinity(True)
 
 
 def _count_variations(signs: Sequence[int]) -> int:
@@ -313,7 +292,14 @@ def _count_variations(signs: Sequence[int]) -> int:
 
 
 def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
-    """``a, b`` and the negated remainders after them as primitive integer lists."""
+    """``a, b`` and the negated remainders after them as primitive integer lists.
+
+    Each is a positive multiple of a signed remainder: ``prem(a, b)`` is
+    ``lc(b)^(deg a - deg b + 1)`` times the rational remainder, negated when
+    that factor is negative.  For ``b`` a positive multiple of ``a'``, by
+    Sturm's theorem, its sign variations count the distinct real roots of
+    ``a`` between two points that are not roots, squarefree or not.
+    """
     chain = [a, b]
     while r := _prem(a, b):
         # -r over its content, negated back where lc(b)^(deg a - deg b + 1) < 0
@@ -323,33 +309,18 @@ def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
     return chain
 
 
-def remainder_sequence(p: Poly) -> SturmChain:
-    """Signed remainder sequence ``p, p', -rem, ...`` of ``p`` itself.
-
-    By Sturm's theorem its variations count the distinct real roots of
-    ``p`` between two points that are not roots of ``p``, squarefree or
-    not, so ``count_all``, which looks only at +-oo, is exact for any ``p``.
-    Chain polynomials are rescaled by positive factors to primitive integer
-    form, which leaves all sign variations unchanged.  They are built on
-    integers: ``prem(a, b)`` is ``lc(b)^(deg a - deg b + 1)`` times the
-    rational remainder, and is negated when that factor is negative.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    q = _primitive_ints(p)
-    if len(q) < 2:
-        return SturmChain((Poly(q),))
-    return SturmChain(map(Poly, _remainder_chain(q, _primitive_ints(derivative(p)))))
-
-
 @lru_cache(maxsize=4096)
 def sturm_chain(p: Poly) -> SturmChain:
-    """Standard Sturm chain: the remainder sequence of the squarefree part of ``p``.
+    """Standard Sturm chain: the remainder chain of the squarefree part of ``p``.
 
     On the squarefree part ``count`` is exact at any end points, roots
     included.  Cached for polynomials whose roots are queried again.
     """
-    return remainder_sequence(squarefree_part(p))
+    q = squarefree_part(p)
+    if q.degree < 1:
+        return SturmChain((q,))
+    chain = _remainder_chain(_primitive_ints(q), _primitive_ints(derivative(q)))
+    return SturmChain(map(Poly, chain))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:

@@ -88,6 +88,12 @@ def sign(value) -> int:
     return 0
 
 
+def on_common_denominator(ratios) -> tuple[list[int], int]:
+    """``([D * p / q for each (p, q)], D)``, with ``D`` the least common denominator of the pairs."""
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient with the convention that out-of-range indices give 0."""
     if k < 0 or n < 0 or k > n:

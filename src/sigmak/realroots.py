@@ -127,12 +127,10 @@ class AlgebraicNumber(Value):
         return float(tight.interval.midpoint())
 
 
-def from_rational(value, multiplicity: int = 1) -> AlgebraicNumber:
-    """Wrap an exact rational as a point algebraic number."""
+def from_rational(value) -> AlgebraicNumber:
+    """Wrap an exact rational as a point algebraic number, a simple root of ``x - value``."""
     value = Fraction(value)
-    return AlgebraicNumber(
-        Poly([-value, 1]), IsolatingInterval(value, value), multiplicity
-    )
+    return AlgebraicNumber(Poly([-value, 1]), IsolatingInterval(value, value))
 
 
 def _shares_root(p: Poly, defining: Poly, lo: Fraction, hi: Fraction) -> bool:

@@ -54,8 +54,9 @@ At a failure level ``p^(k)(x_{k+1}) > 0`` is proved, so any ``w`` with
 ``p^(k)(w) <= 0`` witnesses a real root in ``[w, x_{k+1})``.  An odd
 degree has one far enough to the left; else the lower ends of the
 certified ``x_{k+1}, ..., x_{n-1}`` are tried.  Only without a witness
-does ``missing_root`` count the real roots of ``p^(k)`` at +-oo with the
-remainder sequence of ``p^(k)`` itself, without its squarefree part.
+does ``missing_root`` count the real roots of ``p^(k)``, by Sturm's theorem
+at +-oo on the integer remainder chain of the ladder entries of ``p^(k)``
+and ``p^(k+1)``, squarefree or not.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from typing import Optional
 
 from ._value import Value
 from .errors import DegreeTooLow
-from .poly import Poly, _primitive_ints, _value, remainder_sequence
+from .poly import Poly, _count_variations, _primitive_ints, _remainder_chain, _value
 from .rationals import sign
 from .realroots import (
     AlgebraicNumber,
@@ -206,17 +207,21 @@ def _root_above(q: list[int], start: Fraction) -> AlgebraicNumber:
     return from_rational(Fraction(num, den))
 
 
-def _has_no_real_root(q: list[int], below: list[AlgebraicNumber]) -> bool:
+def _has_no_real_root(q: list[int], dq: list[int], below: list[AlgebraicNumber]) -> bool:
     """True iff ``q`` has no real root, given ``q > 0`` at the largest root in ``below``.
 
-    Any ``w`` with ``q(w) <= 0`` is a witness: ``q`` has a root in
-    ``[w, x_{k+1})``.  An odd degree has one far enough to the left; else
-    the lower ends in ``below`` are tried.  Without a witness the remainder
-    sequence of ``q`` counts its real roots.
+    ``dq`` is a positive multiple of ``q'``.  Any ``w`` with ``q(w) <= 0``
+    witnesses a root in ``[w, x_{k+1})``: an odd degree has one far enough
+    to the left, else the lower ends in ``below`` are tried.  Without one,
+    Sturm's theorem at -oo and +oo counts the distinct real roots of ``q``.
     """
     if len(q) % 2 == 0 or any(_value(q, alpha.interval.lo) <= 0 for alpha in below):
         return False
-    return remainder_sequence(Poly(q)).count_all() == 0
+    chain = _remainder_chain(q, dq)
+    at_plus = [sign(c[-1]) for c in chain]
+    # an odd-degree element changes sign between +oo and -oo
+    at_minus = [s if len(c) % 2 else -s for s, c in zip(at_plus, chain)]
+    return _count_variations(at_minus) == _count_variations(at_plus)
 
 
 def certify_right(p: Poly) -> ChainCertificate:
@@ -245,7 +250,7 @@ def certify_right(p: Poly) -> ChainCertificate:
                 chain=tuple(chain),
                 signs=tuple(signs),
                 failure_level=k,
-                missing_root=_has_no_real_root(ladder[k], chain[k + 1 :]),
+                missing_root=_has_no_real_root(ladder[k], ladder[k + 1], chain[k + 1 :]),
             )
         if s == 0:
             chain[k] = _rising(alpha.defining, lo, hi, multiplicity + 1)

@@ -63,15 +63,15 @@ from sigmak.errors import (
 from sigmak.poly import (
     Poly,
     SturmChain,
-    _clear_denominators,
     _prem,
+    cauchy_root_bound,
     derivative,
     sturm_chain,
     taylor_shift,
     yun_decomposition,
 )
 from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
-from sigmak.rationals import sign
+from sigmak.rationals import on_common_denominator, sign
 from sigmak.realroots import (
     AlgebraicNumber,
     IsolatingInterval,
@@ -279,8 +279,8 @@ def resultant(p1: Poly, p2: Poly) -> Fraction:
         return p1.coeffs[0] ** e
     if e == 0:
         return p2.coeffs[0] ** d
-    a, da = _clear_denominators(p1)
-    b, db = _clear_denominators(p2)
+    a, da = on_common_denominator([c.as_integer_ratio() for c in p1.coeffs])
+    b, db = on_common_denominator([c.as_integer_ratio() for c in p2.coeffs])
     return Fraction(_resultant_subresultant(a, b), da**e * db**d)
 
 
@@ -454,13 +454,14 @@ def certify_right_by_isolation(p: Poly) -> ChainCertificate:
         s = sign_at(ders[k], chain[k + 1])
         signs[k] = s
         if s > 0:
+            bound = cauchy_root_bound(ders[k])
             return ChainCertificate(
                 verdict=ChainVerdict.FAILED,
                 polynomial=p,
                 chain=tuple(chain),
                 signs=tuple(signs),
                 failure_level=k,
-                missing_root=sturm_chain(ders[k]).count_all() == 0,
+                missing_root=sturm_chain(ders[k]).count(-bound, bound) == 0,
             )
         chain[k] = largest_real_root(ders[k])
     if n == 1 or signs[0] < 0:
@@ -595,7 +596,8 @@ def count_real_roots_with_multiplicity(p: Poly) -> int:
         return 0
     total = 0
     for fac, mult in yun_decomposition(p):
-        total += mult * sturm_chain(fac).count_all()
+        bound = cauchy_root_bound(fac)
+        total += mult * sturm_chain(fac).count(-bound, bound)
     return total
 
 

@@ -832,6 +832,26 @@ class TestMalformedInput:
         # the message names the range, it does not echo a 400-digit value
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deform", "{f}", "--samples", "2", "--y-grid", ""],
+            ["deform", "{f}", "--samples", "2", "--x-max", ""],
+            ["deform", "{f}", "--samples", "2", "--poly", ""],
+            ["deform", "{f}", "--samples", "2", "--csv", ""],
+            ["alpha", "{f}", "--range", "1:2", "--samples", "2", "--csv", ""],
+            ["deform", "{f}", "--poly", "1275,-260,-24,0,1", "--samples", "2"],
+        ],
+        ids=["deform-y-grid", "deform-x-max", "deform-poly", "deform-csv", "alpha-csv",
+             "deform-file-and-poly"],
+    )
+    def test_empty_value_or_second_input(self, tmp_path, capsys, argv):
+        # an empty option value is read by its parser, never as the option left out
+        path = write_json(tmp_path / "f.json", EX11)
+        code, out, err = run(capsys, *[arg.format(f=path) for arg in argv])
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_deform_bad_x_max(self, capsys):
         code, _, err = run(capsys, "deform", "--poly", "1275,-260,-24,0,1", "--x-max", "abc")
         assert code == 2 and err.startswith("error:")

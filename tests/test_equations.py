@@ -19,7 +19,6 @@ from sigmak.equations import (
     SigmaKPolynomial,
     StabilityVerdict,
     _in_component,
-    _on_grid,
     _read_point,
     certify_stable,
     cone_membership,
@@ -37,6 +36,7 @@ from sigmak.errors import (
 )
 from sigmak.poly import Poly, SturmChain, sturm_chain, taylor_shift
 from sigmak.presets import hessian_type, j_equation, monge_ampere, nonneg_coeff
+from sigmak.rationals import on_common_denominator
 from sigmak.realroots import (
     AlgebraicNumber,
     IsolatingInterval,
@@ -462,7 +462,7 @@ class TestMembershipMatchesSubsetOracle:
         seen = set()
         for point in points:
             want = cone_membership_by_subsets(f, point).in_stable_component
-            assert _in_component(f, *_on_grid(_read_point(point))) == want, point
+            assert _in_component(f, *on_common_denominator(_read_point(point))) == want, point
             seen.add(want)
         assert seen == {False, True}
 

@@ -1,11 +1,11 @@
 """The integer kernels against their Fraction references.
 
 ``realroots.bracket`` bisects an integer polynomial in the decimal grid
-index, ``poly.remainder_sequence`` and ``poly.poly_gcd`` run one signed
-integer pseudo-remainder loop, and ``rootchain.certify_right`` decides its
-signs on the integer derivative ladder.  The references in ``_oracles`` and
-here bisect, divide and evaluate in ``Fraction`` arithmetic; results must be
-equal, not just close.
+index, ``poly._remainder_chain`` is the one signed integer pseudo-remainder
+loop under ``poly.poly_gcd``, ``poly.sturm_chain`` and ``missing_root``,
+and ``rootchain.certify_right`` decides its signs on the integer derivative
+ladder.  The references in ``_oracles`` and here bisect, divide and
+evaluate in ``Fraction`` arithmetic; results must be equal, not just close.
 """
 
 import math
@@ -19,7 +19,9 @@ import sigmak.poly as poly
 import sigmak.realroots as realroots
 import sigmak.rootchain as rootchain
 from sigmak.equations import SigmaKPolynomial, certify_stable, diagonal_restriction
-from sigmak.poly import Poly, _primitive_ints, derivative, evaluate, poly_gcd, remainder_sequence
+from sigmak.poly import (
+    Poly, _primitive_ints, _remainder_chain, cauchy_root_bound, derivative, evaluate, poly_gcd
+)
 from sigmak.rationals import sign
 from sigmak.realroots import AlgebraicNumber, IsolatingInterval, bracket, isolate_real_roots
 from sigmak.rootchain import _ladder, _normalize, _tangent_bound, _value, certify_right
@@ -81,9 +83,14 @@ def assert_brackets_match(alpha, digits=DIGITS):
         assert bracket(alpha, d) == bracket_by_fractions(alpha, d), (alpha, d)
 
 
+def integer_sequence(p):
+    """``_remainder_chain`` of the primitive integer forms of ``p`` and ``p'``, as polynomials."""
+    return [Poly(c) for c in _remainder_chain(_primitive_ints(p), _primitive_ints(derivative(p)))]
+
+
 def assert_sequences_match(p):
-    got = remainder_sequence(p)
-    assert got.chain == remainder_sequence_by_division(p).chain
+    got = integer_sequence(p)
+    assert got == list(remainder_sequence_by_division(p).chain)
     return got
 
 
@@ -192,7 +199,8 @@ class TestRemainderLoop:
             for family in ("not-stable", "no-real-root"):
                 cert = certify_stable(equation(family_polynomial(rng, n, family))).certificate
                 failing = derivative(cert.polynomial, cert.failure_level)
-                expected = remainder_sequence_by_division(failing).count_all() == 0
+                bound = cauchy_root_bound(failing)
+                expected = remainder_sequence_by_division(failing).count(-bound, bound) == 0
                 assert cert.missing_root == expected
                 assert cert.missing_root == (family == "no-real-root")
 
@@ -203,7 +211,7 @@ class TestRemainderLoop:
         steps = set()
         for _ in range(400):
             p = random_poly(rng, max_degree=9, rational=rng.random() < 0.5, sparse=True)
-            chain = assert_sequences_match(p).chain
+            chain = assert_sequences_match(p)
             for a, b in zip(chain, chain[1:-1]):
                 if b.lc < 0:
                     steps.add((a.degree - b.degree) % 2)
@@ -240,7 +248,7 @@ class TestRemainderLoop:
 
         monkeypatch.setattr(Poly, "divmod", refuse)
         for p, q, chain, g in cases:
-            assert remainder_sequence(p).chain == chain
+            assert integer_sequence(p) == list(chain)
             assert poly_gcd(p, q) == g
 
 

@@ -12,7 +12,9 @@ from sigmak.equations import (
     diagonal_restriction,
 )
 from sigmak.errors import DegreeTooLow
-from sigmak.poly import Poly, derivative, evaluate, squarefree_part, sturm_chain
+from sigmak.poly import (
+    Poly, _primitive_ints, derivative, evaluate, poly_gcd, squarefree_part, sturm_chain
+)
 from sigmak.presets import j_equation
 from sigmak.rationals import sign
 from sigmak.realroots import Order, approx, compare, from_rational, sign_at
@@ -24,6 +26,7 @@ from _oracles import (
     certify_right_by_isolation,
     closed_form_criterion,
     corpus_equations,
+    count_real_roots_with_multiplicity,
     float_chain_verdict,
     is_real_rooted,
     mirror,
@@ -133,22 +136,22 @@ class TestCertifyLeft:
 
 
 class TestCostCounters:
-    """Cost that no verdict shows: one zero test per tie level, no needless remainder sequence."""
+    """Cost that no verdict shows: one zero test per tie level, no needless remainder chain."""
 
     def test_zero_tests_and_remainder_sequences(self, monkeypatch):
         zero_tests, sequences = [], []
-        shares_root, remainder_sequence = rootchain._shares_root, rootchain.remainder_sequence
+        shares_root, remainder_chain = rootchain._shares_root, rootchain._remainder_chain
 
         def counted_zero_test(q, defining, lo, hi):
             zero_tests.append(int(q.degree))
             return shares_root(q, defining, lo, hi)
 
-        def counted_sequence(q):
-            sequences.append(q)
-            return remainder_sequence(q)
+        def counted_chain(a, b):
+            sequences.append(a)
+            return remainder_chain(a, b)
 
         monkeypatch.setattr(rootchain, "_shares_root", counted_zero_test)
-        monkeypatch.setattr(rootchain, "remainder_sequence", counted_sequence)
+        monkeypatch.setattr(rootchain, "_remainder_chain", counted_chain)
         ties = missing = failed = 0
         for seed in (1, 2):
             for f in corpus_equations(seed, (5, 8, 12, 16, 24, 32)):
@@ -368,8 +371,9 @@ class TestAgainstIsolation:
         assert certify_stable(f).verdict is closed_form_criterion(f)
 
     def test_failure_level_not_squarefree(self):
-        # missing_root counts the roots of p^(k) from its own remainder sequence,
-        # so a repeated real root or complex pair there must not change it
+        # missing_root counts the roots of p^(k) from the remainder chain of
+        # p^(k) and p^(k+1), so a repeated real root or complex pair there
+        # must not change it
         double_real = from_roots([-3, -3]) * Poly([5, -4, 1])
         complex_pair = Poly([16, 6, 1]) * Poly([16, 6, 1])
         cases = (
@@ -385,6 +389,21 @@ class TestAgainstIsolation:
             failing = derivative(p, level)
             assert squarefree_part(failing).degree < failing.degree
             assert_matches_isolation(p)
+
+    def test_count_at_infinity_not_squarefree(self):
+        # each remainder chain ends in a non-constant gcd, and no witness is given
+        x2_1, x2_2 = Poly([1, 0, 1]), Poly([2, 0, 1])
+        cases = (
+            (x2_1 * x2_1, True),
+            (x2_1 * x2_1 * x2_2, True),
+            (x2_1 * from_roots([3, 3]), False),
+            (from_roots([1, 1, 2, 2]) * x2_1, False),
+        )
+        for p, missing in cases:
+            q, dq = _primitive_ints(p), _primitive_ints(derivative(p))
+            assert poly_gcd(p, derivative(p)).degree >= 1
+            assert rootchain._has_no_real_root(q, dq, []) is missing
+            assert missing == (count_real_roots_with_multiplicity(p) == 0)
 
     @pytest.mark.parametrize("exponent", [200, -200])
     def test_scaled_coefficients(self, exponent):
