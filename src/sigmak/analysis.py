@@ -6,8 +6,10 @@ from critical points, extended by its limit at isolated critical points
 For chain-certified polynomials the ratio increases monotonically above the
 largest derivative root toward ``1 - 1/n``, and it drops as the top root is
 deformed upwards; ``deformation_family`` owns that family, its window and
-its grids.  The profiles behind ``alpha`` and ``deform`` are exact: rational
-grids, and ratios of integer Horner values, so only the printing rounds.
+its grids.  It and ``deformation`` take the polynomial's chain certificate,
+which holds the window's ends.  The profiles behind ``alpha`` and
+``deform`` are exact: rational grids, and ratios of integer Horner values,
+so only the printing rounds.
 ``certify --convexity-pairs`` samples its points in floating point.
 """
 
@@ -26,12 +28,12 @@ from .equations import (
     sample_region,
 )
 from .errors import (
-    EmptySampleRange, NotCertified, NotStableEquation, OutOfDeformationRange, SigmaKError
+    DegenerateWindow, EmptySampleRange, NotCertified, NotStableEquation, OutOfDeformationRange
 )
 from .poly import Poly, _primitive_ints, _value, derivative, evaluate, taylor_shift
 from .rationals import on_common_denominator
 from .realroots import Order, bracket, compare, from_rational
-from .rootchain import ChainCertificate, certify_right
+from .rootchain import ChainCertificate
 
 
 class Regime(enum.Enum):
@@ -113,39 +115,33 @@ def _grid(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
     return [lo + (hi - lo) * Fraction(i, max(count - 1, 1)) for i in range(count)]
 
 
-class DeformationState(NamedTuple):
-    """Taylor tail of the certified polynomial at ``y``: the top root moved to ``y``."""
-
-    y: Fraction
-    multiplicity: int
-    poly: Poly
-
-
 _WINDOW_SLACK = Fraction(1, 10**9)
 # deformed ratios are sampled only this far above the deformation parameter
 _DESCENT_X_MARGIN = Fraction(1, 100)
 
 
-def deformation(
-    p: Poly,
-    y,
-    *,
-    certificate: Optional[ChainCertificate] = None,
-) -> DeformationState:
-    """Drop the Taylor terms below the top multiplicity at ``y``.
+def _top_multiplicity(cert: ChainCertificate) -> int:
+    """The multiplicity ``m`` of the top root, below the degree ``n`` for a window to exist.
+
+    Raises ``NotCertified`` for a failed certificate and ``DegenerateWindow``
+    for ``m >= n``, where the window is the single point ``x_0``.
+    """
+    if not cert.succeeded:
+        raise NotCertified("deformation needs a chain-certified polynomial")
+    if cert.top_multiplicity >= len(cert.chain):
+        raise DegenerateWindow("degenerate deformation window")
+    return cert.top_multiplicity
+
+
+def deformation(cert: ChainCertificate, y) -> Poly:
+    """The certified ``p`` with its Taylor terms at ``y`` below the top multiplicity ``m`` dropped.
 
     ``y`` must lie between the largest root of ``p^(m)`` and the largest
     root of ``p`` (rational approximants of either endpoint are accepted
     within ``1e-9``); the result keeps ``y`` as its largest real root with
     the same multiplicity, degenerating one order higher at the lower end.
     """
-    cert = certificate if certificate is not None else certify_right(p)
-    if not cert.succeeded:
-        raise NotCertified("deformation needs a chain-certified polynomial")
-    n = int(cert.polynomial.degree)
-    m = cert.top_multiplicity or 1
-    if m >= n:
-        raise OutOfDeformationRange("top root already has full multiplicity")
+    m = _top_multiplicity(cert)
     y = Fraction(y)
     below = compare(from_rational(y + _WINDOW_SLACK), cert.chain[m])
     above = compare(from_rational(y - _WINDOW_SLACK), cert.chain[0])
@@ -153,11 +149,8 @@ def deformation(
         raise OutOfDeformationRange(
             f"deformation parameter {y} outside the admissible root window"
         )
-    shifted = list(taylor_shift(cert.polynomial, y).coeffs)
-    for k in range(min(m, len(shifted))):
-        shifted[k] = Fraction(0)
-    back = taylor_shift(Poly(shifted), -y)
-    return DeformationState(y=y, multiplicity=m, poly=back)
+    shifted = taylor_shift(cert.polynomial, y).coeffs
+    return taylor_shift(Poly([0] * m + list(shifted[m:])), -y)
 
 
 def _x_max(cert: ChainCertificate, x_max) -> Fraction:
@@ -177,9 +170,7 @@ DEFORM_CURVES = 12
 
 def _default_grid(cert: ChainCertificate) -> list[Fraction]:
     """``DEFORM_CURVES`` parameters evenly inside the deformation window, its upper end last."""
-    m = cert.top_multiplicity or 1
-    if m >= len(cert.chain):
-        raise SigmaKError("degenerate deformation window")
+    m = _top_multiplicity(cert)
     # chain[m] < chain[0] when m < n, so deep enough brackets separate them
     digits, low, high = 6, bracket(cert.chain[m], 6)[1], cert.x0_bracket[0]
     while not high > low:
@@ -197,28 +188,26 @@ class DescentReport(NamedTuple):
 
 
 def deformation_family(
-    p: Poly,
+    cert: ChainCertificate,
     y_grid: Optional[Sequence],
     x_count: int,
     descent_count: int,
     x_max=None,
-    *,
-    certificate: Optional[ChainCertificate] = None,
 ) -> tuple[list[tuple[Fraction, Fraction, object]], DescentReport]:
     """Exact (x, y, alpha) rows of the deformed ratios, and their descent in ``y``.
 
-    ``y_grid`` None takes ``_default_grid``.  Each curve is deformed once.
+    Whatever the grid, a failed certificate raises ``NotCertified`` and a top
+    root of multiplicity ``n`` raises ``DegenerateWindow``.  ``y_grid`` None
+    takes ``_default_grid``.  Each curve is deformed once.
     Its rows take ``x_count`` samples from just above its parameter; each
     adjacent pair is compared at ``descent_count`` samples above the larger
     parameter, and a positive minimum margin means strict descent.  An
     ``x_max`` at or below the largest parameter plus that margin leaves the
     top curve no sample and raises ``EmptySampleRange``.
     """
-    cert = certificate if certificate is not None else certify_right(p)
-    if not cert.succeeded:
-        raise NotCertified("deformation needs a chain-certified polynomial")
+    _top_multiplicity(cert)
     ys = sorted(Fraction(v) for v in (_default_grid(cert) if y_grid is None else y_grid))
-    ratios = [_ratio(deformation(p, y, certificate=cert).poly) for y in ys]
+    ratios = [_ratio(deformation(cert, y)) for y in ys]
     x_max = _x_max(cert, x_max)
     if ys and not x_max > ys[-1] + _DESCENT_X_MARGIN:
         raise EmptySampleRange("x_max must lie above the largest deformation parameter plus 1/100")

@@ -29,10 +29,11 @@ from .equations import (
     diagonal_restriction,
     dominates,
 )
-from .errors import EmptySampleRange, OutOfDeformationRange, SigmaKError
+from .errors import EmptySampleRange, NotStableEquation, OutOfDeformationRange, SigmaKError
 from .poly import Poly
 from .rationals import format_rational, format_significant, parse_rational
 from .realroots import Order, bracket, rounded
+from .rootchain import certify_right
 
 SCHEMA_VERSION = "1"
 EXIT_USAGE = 2
@@ -271,7 +272,7 @@ def _alpha(args, state):
     equation, lo, hi = state
     report = certify_stable(equation)
     if not report.is_stable:
-        raise SigmaKError("ratio profile needs a stable (chain-certified) equation")
+        raise NotStableEquation("ratio profile needs a stable (chain-certified) equation")
     restriction = diagonal_restriction(equation)
     rows = analysis.alpha_profile(restriction, lo, hi, args.samples)
     # undefined samples (one-sided limits that disagree) are left out of both
@@ -339,7 +340,7 @@ def _deform(args, state):
     target, grid, x_max = state
     try:
         rows, descent = analysis.deformation_family(
-            target, grid, args.samples, min(args.samples, 64), x_max
+            certify_right(target), grid, args.samples, min(args.samples, 64), x_max
         )
     except OutOfDeformationRange as exc:
         # the grid value may be hundreds of digits long: name the window, not the value

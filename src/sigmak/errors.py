@@ -41,6 +41,10 @@ class OutOfDeformationRange(SigmaKError):
     """The deformation parameter lies outside the admissible root window."""
 
 
+class DegenerateWindow(SigmaKError):
+    """The top root has full multiplicity, so its deformation window is a single point."""
+
+
 class EmptySampleRange(SigmaKError):
     """The deformation rows would sample above ``x_max``, an empty range."""
 

@@ -61,22 +61,6 @@ class Poly(Value):
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(f"{c}")
-            elif k == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{k}")
-        return "Poly(" + " + ".join(terms) + ")"
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -142,9 +126,6 @@ class Poly(Value):
         return self.divmod(other)[0]
 
     # -- evaluation ----------------------------------------------------------
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
     def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Interval Horner evaluation: encloses ``p([lo, hi])``."""

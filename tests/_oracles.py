@@ -66,6 +66,7 @@ from sigmak.poly import (
     _prem,
     cauchy_root_bound,
     derivative,
+    evaluate as evaluate_poly,
     sturm_chain,
     taylor_shift,
     yun_decomposition,
@@ -759,12 +760,12 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
     boundary = Poly([c0, 3 * c1, 3 * c2])
     if c1 < 0 and c1**2 == 4 * c2**3:
         # x1 = sqrt(c2) is a double root of the cubic, the rational -c1/(2 c2)
-        return _verdict_from_sign(sign(boundary(-c1 / (2 * c2))))
+        return _verdict_from_sign(sign(evaluate_poly(boundary, -c1 / (2 * c2))))
     dps = 40
     while dps <= 2560:
         lo, hi = _largest_cubic_root_bracket(c2, c1, dps)
         # convex above 0 and rising at lo (lo^2 > c2): x1 is its one root above lo
-        if 0 < lo < hi and lo**2 > c2 and cubic(lo) < 0 < cubic(hi):
+        if 0 < lo < hi and lo**2 > c2 and evaluate_poly(cubic, lo) < 0 < evaluate_poly(cubic, hi):
             if _shares_root(boundary, cubic, lo, hi):
                 return StabilityVerdict.STABLE
             # boundary(x1) != 0: bisect until its enclosure about the midpoint has one sign
@@ -774,8 +775,8 @@ def closed_form_criterion(f: SigmaKPolynomial) -> StabilityVerdict:
                 if vlo > 0 or vhi < 0:
                     return _verdict_from_sign(1 if vlo > 0 else -1)
                 mid = (lo + hi) / 2
-                s = sign(cubic(mid))
+                s = sign(evaluate_poly(cubic, mid))
                 lo, hi = (mid, mid) if s == 0 else (mid, hi) if s < 0 else (lo, mid)
-            return _verdict_from_sign(sign(boundary(lo)))
+            return _verdict_from_sign(sign(evaluate_poly(boundary, lo)))
         dps *= 2
     raise RootBracketNotCertified("could not certify a bracket of the cubic's largest root")

@@ -187,7 +187,7 @@ def test_06_log_concavity_ratio_laws():
 def test_07_deformation_descent():
     with criterion("07 deformation ratio descent"):
         y_grid = [F(9, 4) + F(1, 4) * i for i in range(12)]  # 12 points in [x_m, x_0]
-        _, report = deformation_family(FIG2_QUARTIC, y_grid, 200, 200, F(42, 5))
+        _, report = deformation_family(certify_right(FIG2_QUARTIC), y_grid, 200, 200, F(42, 5))
         assert report.curves == 12
         assert report.all_positive
         assert report.min_margin > 0

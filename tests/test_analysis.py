@@ -15,7 +15,7 @@ from sigmak.equations import (
     SigmaKPolynomial,
     certify_stable,
 )
-from sigmak.errors import DegreeTooLow, OutOfDeformationRange
+from sigmak.errors import DegenerateWindow, DegreeTooLow, NotCertified, OutOfDeformationRange
 from sigmak.poly import Poly, derivative, evaluate as eval_poly
 from sigmak.realroots import refine
 from sigmak.rootchain import certify_right
@@ -218,24 +218,44 @@ class TestProductBound:
 
 class TestDeformation:
     def test_endpoint_reproduces_polynomial(self):
-        state = deformation(FIG2_QUARTIC, F(5))
-        assert state.poly == FIG2_QUARTIC
-        assert state.multiplicity == 2
+        cert = certify_right(FIG2_QUARTIC)
+        assert deformation(cert, F(5)) == FIG2_QUARTIC
+        assert cert.top_multiplicity == 2
 
     def test_lower_endpoint_raises_multiplicity(self):
-        state = deformation(FIG2_QUARTIC, F(2))
-        assert multiplicity_at_largest_root(state.poly) >= 3
+        q = deformation(certify_right(FIG2_QUARTIC), F(2))
+        assert multiplicity_at_largest_root(q) >= 3
 
     def test_parameter_is_root(self):
+        cert = certify_right(FIG2_QUARTIC)
         for y in (F(9, 4), F(3), F(4)):
-            state = deformation(FIG2_QUARTIC, y)
-            assert eval_poly(state.poly, y) == 0
+            assert eval_poly(deformation(cert, y), y) == 0
 
     def test_window_enforced(self):
+        cert = certify_right(FIG2_QUARTIC)
         with pytest.raises(OutOfDeformationRange):
-            deformation(FIG2_QUARTIC, F(1))
+            deformation(cert, F(1))
         with pytest.raises(OutOfDeformationRange):
-            deformation(FIG2_QUARTIC, F(6))
+            deformation(cert, F(6))
+
+    def test_full_multiplicity_has_no_window(self):
+        # x^2: the window is the single point 0, even for a parameter at it
+        cert = certify_right(Poly([0, 0, 1]))
+        with pytest.raises(DegenerateWindow, match="degenerate deformation window"):
+            deformation(cert, 0)
+        for grid in (None, [F(0)]):
+            with pytest.raises(DegenerateWindow):
+                deformation_family(cert, grid, 2, 2)
+
+    def test_failed_certificate_is_refused(self):
+        # x^2 + 1 has no real root, so its chain fails at level 0
+        cert = certify_right(Poly([1, 0, 1]))
+        assert not cert.succeeded
+        with pytest.raises(NotCertified):
+            deformation(cert, 0)
+        for grid in (None, [F(0)], []):
+            with pytest.raises(NotCertified):
+                deformation_family(cert, grid, 2, 2)
 
     def test_simple_root_window_is_x1_to_x0(self):
         rng = random.Random(54)
@@ -251,20 +271,20 @@ class TestDeformation:
             assert cert.top_multiplicity == 1
             x1 = cert.chain[1]
             inside = (refine(x1, F(1, 100)).interval.hi + roots[2]) / 2
-            deformation(p, inside, certificate=cert)
+            deformation(cert, inside)
             with pytest.raises(OutOfDeformationRange):
-                deformation(p, roots[2] + 1, certificate=cert)
+                deformation(cert, roots[2] + 1)
             seen += 1
 
 
 class TestDescent:
     def test_fig2_family(self):
-        _, report = deformation_family(FIG2_QUARTIC, FIG2_Y_GRID, 50, 50, F(42, 5))
+        _, report = deformation_family(certify_right(FIG2_QUARTIC), FIG2_Y_GRID, 50, 50, F(42, 5))
         assert report.all_positive
         assert report.min_margin > 0
 
     def test_single_curve_vacuous(self):
-        _, report = deformation_family(FIG2_QUARTIC, [F(3)], 10, 10, F(8))
+        _, report = deformation_family(certify_right(FIG2_QUARTIC), [F(3)], 10, 10, F(8))
         assert report.all_positive and report.comparisons == 0
 
     def test_random_cubic_descent(self):
@@ -283,7 +303,7 @@ class TestDescent:
             if hi - lo < F(1, 2):
                 continue
             grid = [lo + (hi - lo) * F(i, 5) for i in range(1, 6)]
-            _, report = deformation_family(p, grid, 30, 30, hi + 4, certificate=cert)
+            _, report = deformation_family(cert, grid, 30, 30, hi + 4)
             assert report.all_positive
             seen += 1
 
@@ -417,6 +437,6 @@ class TestProfiles:
         assert rows == [(-1, F(4, 3)), (0, None), (1, 0)]
 
     def test_deformation_profile_rows(self):
-        rows, _ = deformation_family(FIG2_QUARTIC, [F(3), F(4)], 8, 8, F(42, 5))
+        rows, _ = deformation_family(certify_right(FIG2_QUARTIC), [F(3), F(4)], 8, 8, F(42, 5))
         assert len(rows) == 16
         assert {y for _, y, _ in rows} == {3.0, 4.0}

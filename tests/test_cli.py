@@ -49,7 +49,7 @@ def deform_oracle(p, samples, ys=None, x_max=None):
     ys = sorted(_default_grid(cert) if ys is None else ys)
     hi = cert.x0_bracket[1]
     x_max = hi + F(7, 10) * abs(hi) + 1 if x_max is None else x_max
-    curves = [deformation(p, y, certificate=cert).poly for y in ys]
+    curves = [deformation(cert, y) for y in ys]
     rows = []
     for y, q in zip(ys, curves):
         xs = even_grid(y + F(1, 100), x_max, samples)
@@ -450,9 +450,15 @@ class TestDeform:
 
     def test_full_multiplicity_top_root_exit_3(self, capsys):
         # x^2: the top root has multiplicity n, so the window is a single point;
-        # so is the one root of a linear polynomial
-        for poly in ("0,0,1", "1,2"):
-            code, out, err = run(capsys, "deform", "--poly", poly, "--samples", "2")
+        # so is the one root of a linear polynomial; a given grid at that point
+        # gets the same exit as the default grid
+        for argv in (
+            ["--poly", "0,0,1"],
+            ["--poly", "1,2"],
+            ["--poly", "0,0,1", "--y-grid", "0"],
+            ["--poly=1,2", "--y-grid=-1/2"],
+        ):
+            code, out, err = run(capsys, "deform", *argv, "--samples", "2")
             assert code == 3 and out == "" and "degenerate deformation window" in err
 
     @pytest.mark.parametrize("poly", ["5", "0", "0,0"])

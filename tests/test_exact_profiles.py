@@ -90,14 +90,14 @@ class TestEvaluatorAgainstAlpha:
 def descent_one_sample_at_a_time(p, ys, x_count, x_max):
     """``(comparisons, min_margin, all_positive)`` from ``alpha`` evaluated afresh per sample."""
     cert = certify_right(p)
-    states = [deformation(p, y, certificate=cert) for y in ys]
+    curves = [deformation(cert, y) for y in ys]
     margins = []
-    for y_b, a, b in zip(ys[1:], states, states[1:]):
+    for y_b, a, b in zip(ys[1:], curves, curves[1:]):
         lo = y_b + F(1, 100)
         if lo < x_max:
             for i in range(1, x_count + 1):
                 x = lo + (x_max - lo) * F(i, x_count)
-                margins.append(alpha(a.poly, x).alpha - alpha(b.poly, x).alpha)
+                margins.append(alpha(a, x).alpha - alpha(b, x).alpha)
     low = min(margins, default=None)
     return len(margins), low, low is not None and low > 0
 
@@ -116,8 +116,8 @@ class TestDeformationExact:
     )
     def test_descent_unchanged(self, p, ys, x_count, x_max):
         # None takes the default grid and x_max, here and in the oracle's arguments
-        _, report = deformation_family(p, ys, x_count, x_count, x_max)
         cert = certify_right(p)
+        _, report = deformation_family(cert, ys, x_count, x_count, x_max)
         ys = _default_grid(cert) if ys is None else ys
         hi = cert.x0_bracket[1]
         x_max = hi + F(7, 10) * abs(hi) + 1 if x_max is None else x_max
@@ -126,17 +126,18 @@ class TestDeformationExact:
         assert report.comparisons == 11 * x_count and report.all_positive
 
     def test_profile_rows(self):
-        rows, _ = deformation_family(FIG2_QUARTIC, FIG2_Y_GRID[:3], 9, 9, F(42, 5))
+        cert = certify_right(FIG2_QUARTIC)
+        rows, _ = deformation_family(cert, FIG2_Y_GRID[:3], 9, 9, F(42, 5))
         want = []
         for y in FIG2_Y_GRID[:3]:
-            q = deformation(FIG2_QUARTIC, y).poly
+            q = deformation(cert, y)
             want += [(x, y, alpha(q, x).alpha) for x in grid(y + F(1, 100), F(42, 5), 9)]
         assert rows == want
 
     @pytest.mark.parametrize("x_max", [F(0), FIG2_Y_GRID[-1] + F(1, 100)])
     def test_x_max_at_or_below_the_top_curve(self, x_max):
         with pytest.raises(EmptySampleRange):
-            deformation_family(FIG2_QUARTIC, FIG2_Y_GRID, 2, 2, x_max)
+            deformation_family(certify_right(FIG2_QUARTIC), FIG2_Y_GRID, 2, 2, x_max)
 
 
 def random_doubles(count):

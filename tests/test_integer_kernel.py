@@ -63,7 +63,7 @@ def family_polynomial(rng, n, family) -> Poly:
         q_roots = grid_roots(rng, n - 2)
         q = from_roots(q_roots)
         b = max(q_roots) + 4
-        h = q(b) / derivative(q)(b)
+        h = evaluate(q, b) / evaluate(derivative(q), b)
         return q * Poly([b * b + h * h / 16, -2 * b, 1])
     roots = grid_roots(rng, n)  # no-real-root
     return from_roots(roots) + Poly([(max(roots) - min(roots)) ** n + 1])

@@ -507,7 +507,9 @@ class TestOneZeroTest:
             for c0 in (near - F(1, 10**45), near, near + F(1, 10**45)):
                 f = SigmaKPolynomial(4, (c0, F(1), F(2), F(0)))
                 assert closed_form_criterion(f) is certify_stable(f).verdict
-            assert deformation(FIG2_QUARTIC, F(3)).multiplicity == 2
+            cert = certify_right(FIG2_QUARTIC)
+            assert cert.top_multiplicity == 2
+            assert evaluate(deformation(cert, F(3)), F(3)) == 0
         finally:
             certify_stable.cache_clear()
 
